@@ -28,7 +28,6 @@ from .solver import (
     SchurStatus,
     SolveOutcome,
     Status,
-    build_schur_hypergraph,
     check_hmin_properties,
     find_loose_cycle,
     find_schur_colouring,

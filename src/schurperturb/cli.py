@@ -8,11 +8,13 @@ Exit codes: 0 success, 1 property violation found, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import os
 import random
 import sys
+from collections.abc import Callable
 from itertools import combinations
 
 from .bounds import triple_moments
@@ -37,6 +39,7 @@ from .solver import (
     BLUE,
     RED,
     ColourConstraint,
+    Colouring,
     DEFAULT_BUDGET,
     SchurStatus,
     Status,
@@ -61,15 +64,23 @@ class UsageError(ValueError):
     pass
 
 
+def _construction(
+    name: str, n: int | None
+) -> tuple[IntSet, Callable[[], Colouring | None]]:
+    """A named construction's set, and a thunk for the colouring it defines
+    (None when it defines none); the dense colouring is slow to build."""
+    obj = construct_by_name(name, n)
+    if isinstance(obj, tuple):  # (set, colouring)
+        return obj[0], lambda: obj[1]
+    if isinstance(obj, DenseZeroStatement):
+        return obj.A, lambda: obj.colouring_for(obj.A)
+    return obj, lambda: None
+
+
 def parse_set(text: str, n: int | None = None) -> IntSet:
     """Set literal "a-b,c,d-e", or "construct:<name>" for named sets."""
     if text.startswith("construct:"):
-        obj = construct_by_name(text[len("construct:") :], n)
-        if isinstance(obj, tuple):  # (set, colouring)
-            return obj[0]
-        if isinstance(obj, DenseZeroStatement):
-            return obj.A
-        return obj
+        return _construction(text[len("construct:") :], n)[0]
     try:
         return IntSet.from_runs(text, n)
     except ValueError as exc:
@@ -189,15 +200,8 @@ def cmd_colour(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    obj = construct_by_name(args.name, args.n)
-    colouring = None
-    if isinstance(obj, tuple):
-        s, colouring = obj
-    elif isinstance(obj, DenseZeroStatement):
-        s = obj.A
-        colouring = obj.colouring_for(obj.A)
-    else:
-        s = obj
+    s, colouring_of = _construction(args.name, args.n)
+    colouring = colouring_of()
     out = {"n": s.n, "set": s.to_runs(), "size": len(s)}
     if colouring is not None:
         out["red"] = sorted(colouring.red())
@@ -283,27 +287,29 @@ def cmd_sweep(args) -> int:
         base_name = cfg["base"]
         trials = int(cfg["trials"])
         seed = cfg["seed"]
+        if seed is None:
+            raise UsageError("sweep requires an explicit seed")
+        seed = int(seed)
+        budget = int(cfg.get("budget", DEFAULT_BUDGET))
+        grid = cfg.get("p_grid", "auto")
+        if grid == "auto":
+            centre = cfg.get("center")
+            if centre is None:
+                raise UsageError("auto grid requires a 'center' probability")
+            grid = default_grid(float(centre))
+        grid = [float(p) for p in grid]
     except KeyError as exc:
         raise UsageError(f"config missing required key {exc}") from exc
-    if seed is None:
-        raise UsageError("sweep requires an explicit seed")
-    budget = int(cfg.get("budget", DEFAULT_BUDGET))
-    grid = cfg.get("p_grid", "auto")
-    if grid == "auto":
-        centre = cfg.get("center")
-        if centre is None:
-            raise UsageError("auto grid requires a 'center' probability")
-        grid = default_grid(float(centre))
-    grid = [float(p) for p in grid]
-    base_set = parse_set(base_name, n)
-    if base_set.n != n:
-        base_set = IntSet(n, base_set)
+    except TypeError as exc:
+        raise UsageError(f"malformed config {args.config}: {exc}") from exc
+    if not isinstance(base_name, str):
+        raise UsageError(f"config 'base' must be a string, not {base_name!r}")
     curve = sweep(
-        base_set,
+        parse_set(base_name, n),
         n,
         grid,
         trials,
-        RngSpec(int(seed)),
+        RngSpec(seed),
         budget=budget,
         workers=_workers(args),
         base=base_name,
@@ -327,16 +333,10 @@ def cmd_thresholds(args) -> int:
 def cmd_plot_data(args) -> int:
     try:
         with open(args.results) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            curve = SweepCurve.from_json(fh.read())
+    except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read results {args.results}: {exc}") from exc
-    lines = []
-    for pt in data.get("points", []):
-        decided = pt["schur"] + pt["not_schur"]
-        lo, hi = wilson_interval(pt["schur"], decided)
-        y = pt["schur"] / decided if decided else 0.0
-        lines.append(f"{pt['p']} {_fmt(y)} {_fmt(max(y - lo, hi - y))}")
-    text = "\n".join(lines) + ("\n" if lines else "")
+    text = curve_plotdata(curve)
     if args.out:
         _write(args.out, text)
     else:
@@ -345,11 +345,16 @@ def cmd_plot_data(args) -> int:
 
 
 # ------------------------------------------------------------ verify suites
+# Each suite returns its failure lines; acceptance criteria 2, 9 and 12 run
+# hu, claim48 and stability.
+
+_VERIFY_SEED = 20260824
 
 
-def _suite_hu(args) -> list[str]:
+def suite_hu(n_max: int = 16) -> list[str]:
+    """Every A in [n] with |A| > ceil(4n/5) is Schur (n in 10..n_max); the
+    mod-5 sets at n = 10, 15 have that size and a proper colouring."""
     failures = []
-    n_max = args.n_max if args.n_max is not None else 16
     for n in range(10, n_max + 1):
         threshold = math.ceil(4 * n / 5)
         universe = list(range(1, n + 1))
@@ -371,22 +376,21 @@ def _suite_hu(args) -> list[str]:
     return failures
 
 
-def _suite_prop31(args) -> list[str]:
+def suite_prop31(n_max: int = 30, seed: int = _VERIFY_SEED, trials: int = 200) -> list[str]:
+    """L1 and L2 are Schur: all inside [n_max], then trials random ones."""
     failures = []
-    limit = args.n_max if args.n_max is not None else 30
-    for a in range(1, limit + 1):
-        for d in range(1, limit + 1):
-            for x in range(1, limit + 1):
+    for a in range(1, n_max + 1):
+        for d in range(1, n_max + 1):
+            for x in range(1, n_max + 1):
                 sets = []
-                if max(a + 3 * d, x + d, a + x + 3 * d) <= limit:
+                if max(a + 3 * d, x + d, a + x + 3 * d) <= n_max:
                     sets.append(("L1", L1(a, x, d)))
-                if x > a + 3 * d and x > d and max(x, a + 3 * d) <= limit:
+                if x > a + 3 * d and x > d and max(x, a + 3 * d) <= n_max:
                     sets.append(("L2", L2(a, x, d)))
                 for name, s in sets:
                     if is_schur(s) is not SchurStatus.SCHUR:
                         failures.append(f"prop31: {name}({a},{x},{d}) not Schur")
-    rng = random.Random(args.seed if args.seed is not None else 20260824)
-    trials = args.trials if args.trials is not None else 200
+    rng = random.Random(seed)
     done = 0
     while done < trials:
         a = rng.randint(1, 40)
@@ -403,22 +407,28 @@ def _suite_prop31(args) -> list[str]:
     return failures
 
 
-def _suite_stability(args) -> list[str]:
+def suite_stability(n_max: int = 22) -> list[str]:
+    """Every sum-free S in [n] with |S| > 2n/5 + 1 (n in 10..n_max) is
+    odd-only or has min S >= |S|, and some S attains min S = |S|."""
     failures = []
-    n_max = args.n_max if args.n_max is not None else 22
+    tight = False
     for n in range(10, n_max + 1):
         min_size = math.floor(2 * n / 5 + 1) + 1
         for s in enumerate_large_sum_free(n, min_size):
             elems = s.elements()
-            odd_only = all(e % 2 for e in elems)
-            if not odd_only and elems[0] <= len(elems):
-                failures.append(f"stability: {s!r} neither odd-only nor top-heavy")
+            if all(e % 2 for e in elems):
+                continue
+            if elems[0] < len(elems):
+                failures.append(f"stability: {s!r} neither odd-only nor min >= size")
+            tight = tight or elems[0] == len(elems)
+    if not tight:
+        failures.append(f"stability: min = size never attained for n <= {n_max}")
     return failures
 
 
-def _suite_claim48(args) -> list[str]:
+def suite_claim48(n_max: int = 200) -> list[str]:
+    """Pair partition invariants for every (n, alpha) with n <= n_max."""
     failures = []
-    n_max = args.n_max if args.n_max is not None else 200
     for n in range(1, n_max + 1):
         for alpha in range(1, n + 1):
             part = claim48_partition(n, alpha)
@@ -437,15 +447,15 @@ def _suite_claim48(args) -> list[str]:
     return failures
 
 
-def _suite_wickets(args) -> list[str]:
+def suite_wickets(n_max: int = 24, seed: int = _VERIFY_SEED, trials: int = 25) -> list[str]:
+    """Both wicket counting methods agree on [n], n <= n_max, and random sets."""
     failures = []
-    n_max = args.n_max if args.n_max is not None else 24
-    rng = random.Random(args.seed if args.seed is not None else 20260824)
+    rng = random.Random(seed)
     for n in range(1, n_max + 1):
         s = IntSet.full(n)
         if count_wickets(s, method="ie") != count_wickets(s, method="enumerate"):
             failures.append(f"wickets: [n]={n} fast/slow mismatch")
-    for _ in range(args.trials if args.trials is not None else 25):
+    for _ in range(trials):
         n = rng.randint(10, n_max)
         members = [e for e in range(1, n + 1) if rng.random() < 0.6]
         s = IntSet(n, members)
@@ -454,10 +464,11 @@ def _suite_wickets(args) -> list[str]:
     return failures
 
 
-def _suite_moments(args) -> list[str]:
+def suite_moments(seed: int = _VERIFY_SEED, trials: int = 100) -> list[str]:
+    """delta_exact <= delta_star on trials random instances."""
     failures = []
-    rng = random.Random(args.seed if args.seed is not None else 20260824)
-    for _ in range(args.trials if args.trials is not None else 100):
+    rng = random.Random(seed)
+    for _ in range(trials):
         n = rng.randint(10, 60)
         members = [e for e in range(1, n + 1) if rng.random() < 0.7]
         s = IntSet(n, members)
@@ -470,17 +481,19 @@ def _suite_moments(args) -> list[str]:
 
 
 _SUITES = {
-    "hu": _suite_hu,
-    "prop31": _suite_prop31,
-    "stability": _suite_stability,
-    "claim48": _suite_claim48,
-    "wickets": _suite_wickets,
-    "moments": _suite_moments,
+    "hu": suite_hu,
+    "prop31": suite_prop31,
+    "stability": suite_stability,
+    "claim48": suite_claim48,
+    "wickets": suite_wickets,
+    "moments": suite_moments,
 }
 
 
 def cmd_verify(args) -> int:
-    failures = _SUITES[args.suite](args)
+    suite = _SUITES[args.suite]
+    options = {k: getattr(args, k) for k in inspect.signature(suite).parameters}
+    failures = suite(**{k: v for k, v in options.items() if v is not None})
     for line in failures:
         print(f"FAIL {line}")
     print(f"suite {args.suite}: {'ok' if not failures else f'{len(failures)} failures'}")

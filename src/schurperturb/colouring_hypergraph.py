@@ -9,7 +9,9 @@ is kept on the edge.
 Stats come in two exact flavours: ha_stats walks a materialized edge list,
 ha_stats_fast computes the same numbers analytically from (A, n) so that
 million-edge instances never need materializing. The two agree everywhere
-they are both feasible (cross-checked in tests).
+they are both feasible (cross-checked in tests). ha_stats and
+codegree_delta_exact share one count of the edges through each j-set of
+vertices.
 """
 
 from __future__ import annotations
@@ -79,16 +81,22 @@ def _edge_vertices(edge: Edge) -> list[tuple[int, str]]:
     return [(e, RED) for e in rp] + [(e, BLUE) for e in bp]
 
 
+def _j_set_degrees(h: ColouringHypergraph, j: int) -> dict[tuple, int]:
+    """Number of edges containing each j-set of vertices, over the j-sets
+    that some edge contains."""
+    counts: dict[tuple, int] = {}
+    for edge in h.edges:
+        for sigma in combinations(sorted(_edge_vertices(edge)), j):
+            counts[sigma] = counts.get(sigma, 0) + 1
+    return counts
+
+
 def ha_stats(h: ColouringHypergraph) -> HAStats:
     """Exact stats from a materialized edge list."""
     e = len(h.edges)
     deltas = {2: 0, 3: 0, 4: 1 if e else 0}
     for j in (2, 3):
-        counts: dict[tuple, int] = {}
-        for edge in h.edges:
-            for sigma in combinations(sorted(_edge_vertices(edge)), j):
-                counts[sigma] = counts.get(sigma, 0) + 1
-        deltas[j] = max(counts.values(), default=0)
+        deltas[j] = max(_j_set_degrees(h, j).values(), default=0)
     return HAStats(
         edge_count=e,
         average_degree=4 * e / (2 * h.n),
@@ -207,12 +215,8 @@ def codegree_delta_exact(h: ColouringHypergraph, tau: float) -> float:
     d = 4 * len(h.edges) / big_n
     sums = {}
     for j in (2, 3, 4):
-        counts: dict[tuple, int] = {}
-        for edge in h.edges:
-            for sigma in combinations(sorted(_edge_vertices(edge)), j):
-                counts[sigma] = counts.get(sigma, 0) + 1
         per_vertex: dict[tuple[int, str], int] = {}
-        for sigma, cnt in counts.items():
+        for sigma, cnt in _j_set_degrees(h, j).items():
             for v in sigma:
                 per_vertex[v] = max(per_vertex.get(v, 0), cnt)
         sums[j] = sum(per_vertex.values())

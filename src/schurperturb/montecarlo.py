@@ -106,6 +106,34 @@ class SweepCurve:
             sort_keys=True,
         )
 
+    @classmethod
+    def from_json(cls, text: str) -> "SweepCurve":
+        """Inverse of to_json (which keeps no records); ValueError when the
+        text is not JSON of that shape."""
+        try:
+            data = json.loads(text)
+            points = [
+                SweepPoint(
+                    p=float(pt["p"]),
+                    trials=int(pt["trials"]),
+                    schur=int(pt["schur"]),
+                    not_schur=int(pt["not_schur"]),
+                    unknown=int(pt["unknown"]),
+                    mean_sample_size=float(pt["mean_sample_size"]),
+                )
+                for pt in data["points"]
+            ]
+            return cls(
+                n=int(data["n"]),
+                base=data["base"],
+                master_seed=int(data["master_seed"]),
+                budget=int(data["budget"]),
+                p_grid=[float(p) for p in data["p_grid"]],
+                points=points,
+            )
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"not a sweep curve: {exc!r}") from exc
+
 
 def sample_perturbation(n: int, p: float, rng: RngSpec, trial_index: int) -> IntSet:
     """[n]_p under the stream for trial_index: per 4096-element block, draw
@@ -148,6 +176,26 @@ def _run_one(args) -> TrialRecord:
     )
 
 
+def _execute(
+    a: IntSet,
+    n: int,
+    jobs: list[tuple[float, int]],
+    rng: RngSpec,
+    budget: int,
+    workers: int,
+) -> list[TrialRecord]:
+    """Run one trial per (p, trial_index) job, in job order; a process pool
+    only when workers > 1."""
+    if a.n != n:
+        a = IntSet(n, a)
+    tasks = [(a._mask, n, p, rng.master_seed, i, budget) for p, i in jobs]
+    if workers <= 1:
+        return [_run_one(t) for t in tasks]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        chunksize = max(1, len(tasks) // (4 * workers))
+        return list(pool.map(_run_one, tasks, chunksize=chunksize))
+
+
 def run_trials(
     a: IntSet,
     n: int,
@@ -161,16 +209,8 @@ def run_trials(
     """Decide is_schur(a u [n]_p) for trials consecutive trial indices."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if a.n != n:
-        a = IntSet(n, a)
-    tasks = [
-        (a._mask, n, p, rng.master_seed, trial_offset + j, budget)
-        for j in range(trials)
-    ]
-    if workers <= 1:
-        return [_run_one(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_one, tasks, chunksize=max(1, trials // (4 * workers))))
+    jobs = [(p, trial_offset + j) for j in range(trials)]
+    return _execute(a, n, jobs, rng, budget, workers)
 
 
 def _aggregate(p: float, records: list[TrialRecord]) -> SweepPoint:
@@ -203,20 +243,8 @@ def sweep(
         raise ValueError("trials must be >= 1")
     if any(q > r for q, r in zip(p_grid, p_grid[1:])):
         raise ValueError("p_grid must be ascending")
-    if a.n != n:
-        a = IntSet(n, a)
-    tasks = [
-        (a._mask, n, p, rng.master_seed, i * trials + j, budget)
-        for i, p in enumerate(p_grid)
-        for j in range(trials)
-    ]
-    if workers <= 1:
-        records = [_run_one(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(
-                pool.map(_run_one, tasks, chunksize=max(1, len(tasks) // (4 * workers)))
-            )
+    jobs = [(p, i * trials + j) for i, p in enumerate(p_grid) for j in range(trials)]
+    records = _execute(a, n, jobs, rng, budget, workers)
     points = [
         _aggregate(p, records[i * trials : (i + 1) * trials])
         for i, p in enumerate(p_grid)

@@ -79,10 +79,6 @@ class SolveOutcome:
     nodes_explored: int
 
 
-def build_schur_hypergraph(s: IntSet) -> HostingHypergraph:
-    return HostingHypergraph(n=s.n, vertices=s, edges=hosting_sets(s))
-
-
 def _solve_edges(
     elems: list[int],
     edges: list[tuple[int, ...]],
@@ -339,26 +335,13 @@ def _count_consecutive_t2(types: list[str]) -> int:
 
 def find_loose_cycle(h: HostingHypergraph, base: IntSet) -> LooseCycle | None:
     """Find a loose cycle (>= 3 edges, consecutive sharing one vertex,
-    others disjoint). Walk extension first, exhaustive fallback for small
-    edge counts."""
+    others disjoint) by a greedy walk: from each start edge, extend through
+    shared vertices until an edge touches an earlier walk edge, then trim to
+    the cycle and check the loose pattern. The walk is not a complete
+    search: None means no cycle was found, not that none exists."""
     if not h.is_three_uniform():
         raise ValueError("loose-cycle search requires a 3-uniform hypergraph")
     edges = h.edges
-    if len(edges) < 3:
-        return None
-
-    found = _walk_loose_cycle(edges)
-    if found is None and len(edges) <= 64:
-        found = _exhaustive_loose_cycle(edges)
-    if found is None:
-        return None
-    types = [_edge_type(e, base) for e in found]
-    return LooseCycle(found, types, _count_consecutive_t2(types))
-
-
-def _walk_loose_cycle(edges: list[tuple[int, ...]]) -> list[tuple[int, ...]] | None:
-    """Greedy walk: extend through shared vertices until an edge touches an
-    earlier walk edge, then trim to the cycle; check the loose pattern."""
     by_vertex: dict[int, list[tuple[int, ...]]] = {}
     for e in edges:
         for v in e:
@@ -393,40 +376,7 @@ def _walk_loose_cycle(edges: list[tuple[int, ...]]) -> list[tuple[int, ...]] | N
             if closing is not None:
                 cyc = walk[closing:]
                 if _is_loose_cycle(cyc):
-                    return cyc
+                    types = [_edge_type(e, base) for e in cyc]
+                    return LooseCycle(cyc, types, _count_consecutive_t2(types))
                 break
-    return None
-
-
-def _exhaustive_loose_cycle(
-    edges: list[tuple[int, ...]],
-) -> list[tuple[int, ...]] | None:
-    """DFS over edge sequences; sound and complete for small hypergraphs."""
-
-    def extend(path: list[tuple[int, ...]], used: set) -> list | None:
-        last = path[-1]
-        first = path[0]
-        for cand in edges:
-            if cand in used:
-                continue
-            if len(set(cand).intersection(last)) != 1:
-                continue
-            # must be disjoint from all non-adjacent path edges
-            if any(set(cand).intersection(e) for e in path[1:-1]):
-                continue
-            inter_first = len(set(cand).intersection(first))
-            if len(path) >= 2 and inter_first == 1:
-                closed = path + [cand]
-                if _is_loose_cycle(closed):
-                    return closed
-            if inter_first == 0:
-                result = extend(path + [cand], used | {cand})
-                if result is not None:
-                    return result
-        return None
-
-    for start in edges:
-        result = extend([start], {start})
-        if result is not None:
-            return result
     return None

@@ -4,32 +4,21 @@ Each test prints a single pass/fail line (bypassing capture) and then
 asserts, so the final report always lists every criterion outcome.
 Oracles here are written independently of the library internals:
 mask-based exhaustive colouring enumeration and a direct disjoint-pair
-enumeration for wicket counts.
+enumeration for wicket counts. Criteria 2, 9 and 12 run the CLI's verify
+suites hu, claim48 and stability, so each check exists once.
 """
 
 import math
 import random
 import time
-from itertools import combinations
 
 import numpy as np
 
 from schurperturb.bounds import triple_moments
+from schurperturb.cli import suite_claim48, suite_hu, suite_stability
 from schurperturb.colouring_hypergraph import ha_stats_fast
-from schurperturb.constructions import (
-    L1,
-    L2,
-    claim48_partition,
-    dense_zero_statement,
-    mod5_construction,
-    sparse_base,
-)
-from schurperturb.intset import (
-    IntSet,
-    enumerate_large_sum_free,
-    is_sum_free,
-    schur_triples,
-)
+from schurperturb.constructions import L1, L2, dense_zero_statement, sparse_base
+from schurperturb.intset import IntSet, is_sum_free, schur_triples
 from schurperturb.montecarlo import (
     RngSpec,
     run_trials,
@@ -150,18 +139,7 @@ def test_criterion_01_baseline():
 
 def test_criterion_02_large_subsets_schur():
     t0 = time.perf_counter()
-    ok = True
-    for n in range(10, 17):
-        thresh = math.ceil(4 * n / 5)
-        for size in range(thresh + 1, n + 1):
-            for elems in combinations(range(1, n + 1), size):
-                if is_schur(IntSet(n, elems)) is not SchurStatus.SCHUR:
-                    ok = False
-    for n in (10, 15):
-        a, col = mod5_construction(n)
-        ok = ok and len(a) == math.ceil(4 * n / 5)
-        ok = ok and validate_colouring(a, col) == []
-        ok = ok and is_schur(a) is SchurStatus.NOT_SCHUR
+    ok = not suite_hu(n_max=16)
     _report(2, ok, "every |A| > ceil(4n/5) Schur (n in 10..16); "
                    "mod-5 sets extremal and properly coloured", t0, 300)
 
@@ -295,20 +273,7 @@ def test_criterion_08_moment_chain():
 
 def test_criterion_09_pair_partition():
     t0 = time.perf_counter()
-    ok = True
-    for n in range(1, 201):
-        for alpha in range(1, n + 1):
-            pp = claim48_partition(n, alpha)
-            seen = set()
-            for pair in pp.pairs:
-                u, v = sorted(pair)
-                if seen & pair:
-                    ok = False
-                seen |= pair
-                if not (u + v == alpha or u + alpha == v or v + alpha == u):
-                    ok = False
-            if len(pp.Q) < pp.eta - 3 or 2 * pp.eta < n:
-                ok = False
+    ok = not suite_claim48(n_max=200)
     _report(9, ok, "pair partition invariants for every (n, alpha), n <= 200", t0)
 
 
@@ -357,20 +322,10 @@ def test_criterion_11_sparse_obstruction_structure():
 
 def test_criterion_12_sum_free_stability():
     t0 = time.perf_counter()
-    ok = True
-    tight = False  # the bound is attained, e.g. by [6, 11] in [11]
-    for n in range(10, 23):
-        min_size = math.floor(2 * n / 5 + 1) + 1
-        for s in enumerate_large_sum_free(n, min_size):
-            elems = s.elements()
-            odd_only = all(e % 2 == 1 for e in elems)
-            if not odd_only and elems[0] < len(elems):
-                ok = False
-            if not odd_only and elems[0] == len(elems):
-                tight = True
-    _report(12, ok and tight, "large sum-free sets are odd-only or have "
-                              "min >= size, with equality attained "
-                              "(n in 10..22)", t0, 600)
+    ok = not suite_stability(n_max=22)  # includes: equality is attained
+    _report(12, ok, "large sum-free sets are odd-only or have "
+                    "min >= size, with equality attained "
+                    "(n in 10..22)", t0, 600)
 
 
 def test_criterion_13_sweep_determinism():

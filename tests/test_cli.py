@@ -182,11 +182,17 @@ class TestSweepCommand:
         json.loads((tmp_path / "res.json").read_text())
 
     def test_plot_data_round_trip(self, capsys, tmp_path):
-        out_prefix = str(tmp_path / "res")
-        run(capsys, "sweep", "--config", self._config(tmp_path), "--out", out_prefix)
-        code, out, _ = run(capsys, "plot-data", out_prefix + ".json")
-        assert code == EXIT_OK
-        assert out == (tmp_path / "res.plot").read_text()
+        # budget 0 leaves no decided trial at p = 0.9 (y = 0, yerr = 1);
+        # .12g writes p = 1e-05 with an exponent
+        cases = (({}, None), ({"p_grid": [1e-05, 0.9], "budget": 0}, "0.9 0 1"))
+        for overrides, line in cases:
+            out_prefix = str(tmp_path / "res")
+            config = self._config(tmp_path, **overrides)
+            run(capsys, "sweep", "--config", config, "--out", out_prefix)
+            code, out, _ = run(capsys, "plot-data", out_prefix + ".json")
+            assert code == EXIT_OK
+            assert out == (tmp_path / "res.plot").read_text()
+            assert line is None or line in out.splitlines()
 
 
 class TestVerify:
@@ -208,12 +214,12 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "--suite", "moments", "--trials", "10")
         assert code == EXIT_OK
 
-    def test_stability_reports_boundary_counterexamples(self, capsys):
-        # the strict form of the criterion fails at interval sets [m, 2m-1]
+    def test_stability_bound_attained(self, capsys):
+        # min S >= |S| holds, with equality at {6, ..., 11} in [11]
         code, out, _ = run(capsys, "verify", "--suite", "stability",
                            "--n-max", "12")
-        assert code == EXIT_VIOLATION
-        assert "FAIL" in out
+        assert code == EXIT_OK
+        assert out == "suite stability: ok\n"
 
 
 class TestEmission:
@@ -237,6 +243,23 @@ class TestEmission:
 class TestUsage:
     def test_unknown_subcommand(self, capsys):
         assert cli_dispatch(["frobnicate"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("argv, body", [
+        (["plot-data"], '{"points": [{"p": "0.1"}]}'),
+        (["plot-data"], "[1, 2]"),
+        (["sweep", "--config"], "[1]"),
+        (["sweep", "--config"],
+         '{"n": 20, "base": "1-3", "trials": 2, "seed": 1, "p_grid": 5}'),
+        (["sweep", "--config"],
+         '{"n": 20, "base": 5, "trials": 2, "seed": 1, "p_grid": [0.5]}'),
+    ])
+    def test_malformed_json_input(self, capsys, tmp_path, argv, body):
+        path = tmp_path / "input.json"
+        path.write_text(body)
+        code, out, err = run(capsys, *argv, str(path))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_bad_set(self, capsys):
         code, _, err = run(capsys, "check-schur", "construct:nope")

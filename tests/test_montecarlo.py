@@ -106,6 +106,14 @@ class TestSweep:
         c2 = sweep(a, 10, [0.2, 0.8], 4, RngSpec(5))
         assert c1.to_json() == c2.to_json()
 
+    def test_json_round_trip(self):
+        a, _ = mod5_construction(10)
+        curve = sweep(a, 10, [1e-05, 0.2, 0.8], 4, RngSpec(5), budget=1)
+        back = SweepCurve.from_json(curve.to_json())
+        assert back.to_json() == curve.to_json()
+        with pytest.raises(ValueError):
+            SweepCurve.from_json('{"points": [{"p": "0.1"}]}')
+
 
 def _curve(points):
     return SweepCurve(
