@@ -10,6 +10,8 @@ from __future__ import annotations
 import json
 from typing import Iterable, Iterator
 
+import numpy as np
+
 MAX_GROUND = 1 << 24
 
 # Largest n for which enumerate_large_sum_free will run exhaustively.
@@ -72,11 +74,7 @@ class IntSet:
         return 0 < x <= self.n and (self._mask >> x) & 1 == 1
 
     def __iter__(self) -> Iterator[int]:
-        m = self._mask
-        while m:
-            lsb = m & -m
-            yield lsb.bit_length() - 1
-            m ^= lsb
+        return iter(self.elements())
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -108,7 +106,10 @@ class IntSet:
         return IntSet._from_mask(self.n, self._mask | (1 << x))
 
     def elements(self) -> list[int]:
-        return list(self)
+        """The members in ascending order, decoded from the mask in one pass."""
+        m = self._mask
+        raw = np.frombuffer(m.to_bytes((m.bit_length() + 7) // 8, "little"), np.uint8)
+        return np.flatnonzero(np.unpackbits(raw, bitorder="little")).tolist()
 
     # ---- serialization ----
 

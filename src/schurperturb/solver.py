@@ -3,8 +3,21 @@
 The solver does unit-style propagation (a 2-edge with one coloured endpoint
 forces the other, a 3-edge with two same-coloured endpoints forces the
 third) and backtracks on the uncoloured element incident to the most
-unresolved edges, breaking ties by smallest value. Budget exhaustion is a
-first-class outcome, never an exception.
+unresolved edges, breaking ties by smallest value and trying blue before
+red. Budget exhaustion is a first-class outcome, never an exception.
+
+The search is iterative: an explicit stack holds one frame per open
+branching decision, at most V of them for V elements, so its depth is not
+limited by the interpreter's recursion limit. Memory is O(V + |E|) plus
+those frames. Each edge keeps how many of its elements are red and how many
+blue, and each element how many of its edges are not yet bichromatic;
+colouring or uncolouring an element touches only its own edges. A node costs
+O(V) to choose the branch element, plus the degrees of the elements it
+colours (propagation included) and later uncolours.
+
+`nodes_explored` counts colour trials, one per colour tried at a branch
+element; `budget` is checked before each trial, so a budget of k allows
+exactly k trials.
 """
 
 from __future__ import annotations
@@ -79,121 +92,157 @@ class SolveOutcome:
     nodes_explored: int
 
 
+# Colour codes inside the search: sorted((BLUE, RED)) order, so code 0 is
+# tried first at every branch.
+_CODE = {BLUE: 0, RED: 1}
+_NAME = (BLUE, RED)
+
+
+def _codes(colours: frozenset[str]) -> tuple[int, ...]:
+    unknown = colours - BOTH
+    if unknown:
+        raise ValueError(f"unknown colours {sorted(unknown)}")
+    return tuple(sorted(_CODE[c] for c in colours))
+
+
+def _index(
+    elems: list[int], constraints: ColourConstraint
+) -> tuple[dict[int, int], list[tuple[int, ...]]]:
+    """Each element's vertex index, and each vertex's allowed colour codes."""
+    index = {e: i for i, e in enumerate(elems)}
+    allowed = [_codes(BOTH)] * len(elems)
+    for e, colours in constraints.allowed.items():
+        if e in index:
+            allowed[index[e]] = _codes(colours)
+    return index, allowed
+
+
+def _search(
+    allowed: list[tuple[int, ...]],
+    edges: list[tuple[int, ...]],
+    budget: int,
+) -> tuple[Status, list[int], int]:
+    """Explicit-stack search over vertex indices 0..V-1, V = len(allowed).
+
+    Returns (status, colour code per vertex or -1 if uncoloured, nodes).
+    Each edge keeps how many of its vertices are coloured 0 and 1. key[v]
+    is the number of v's incident edges not yet bichromatic, lowered by
+    `coloured` while v is coloured, so the branch vertex (most unresolved
+    edges, smallest index on ties) is the first maximum of key.
+    """
+    n_vertices = len(allowed)
+    if not all(allowed):
+        return Status.NOT_COLOURABLE, [], 0
+    incident: list[list[int]] = [[] for _ in range(n_vertices)]
+    for i, edge in enumerate(edges):
+        for v in edge:
+            incident[v].append(i)
+    size = [len(edge) for edge in edges]
+    count = ([0] * len(edges), [0] * len(edges))
+    colour = [-1] * n_vertices
+    coloured = len(edges) + 1  # above any vertex degree
+    key = [len(inc) for inc in incident]
+    trail: list[int] = []
+
+    def propagate(pending: list[tuple[int, int]]) -> bool:
+        """Colour each pending (vertex, code) and all it forces; False on a
+        monochromatic edge or a forced colour the vertex does not allow.
+        Every vertex on the trail has all its edge counts applied."""
+        ok = True
+        while ok and pending:
+            v, c = pending.pop()
+            if colour[v] >= 0:
+                ok = colour[v] == c
+                continue
+            colour[v] = c
+            trail.append(v)
+            key[v] -= coloured
+            same, other = count[c], count[c ^ 1]
+            for i in incident[v]:
+                k = same[i] = same[i] + 1
+                if other[i]:
+                    if k == 1:  # just became bichromatic: resolved
+                        for u in edges[i]:
+                            key[u] -= 1
+                elif k == size[i]:
+                    ok = False  # monochromatic
+                elif k == size[i] - 1 and ok:
+                    for u in edges[i]:
+                        if colour[u] < 0:
+                            break  # the one uncoloured vertex
+                    if c ^ 1 in allowed[u]:
+                        pending.append((u, c ^ 1))
+                    else:
+                        ok = False
+        return ok
+
+    def undo(mark: int) -> None:
+        while len(trail) > mark:
+            v = trail.pop()
+            c = colour[v]
+            colour[v] = -1
+            key[v] += coloured
+            same, other = count[c], count[c ^ 1]
+            for i in incident[v]:
+                k = same[i] = same[i] - 1
+                if k == 0 and other[i]:  # no longer bichromatic
+                    for u in edges[i]:
+                        key[u] += 1
+
+    def pick_branch_var() -> int:
+        """-1 when every unresolved edge is gone; leftovers are then free."""
+        best = max(key, default=0)
+        return key.index(best) if best > 0 else -1
+
+    seeds = [(v, a[0]) for v, a in enumerate(allowed) if len(a) == 1]
+    if not propagate(seeds[::-1]):
+        return Status.NOT_COLOURABLE, colour, 0
+
+    nodes = 0
+    v = pick_branch_var()
+    if v < 0:
+        return Status.COLOURABLE, colour, nodes
+    stack = [[v, 0, len(trail)]]  # frames: vertex, next colour position, trail mark
+    while stack:
+        frame = stack[-1]
+        v, pos, mark = frame
+        if pos == len(allowed[v]):
+            stack.pop()
+            if stack:
+                undo(stack[-1][2])  # the parent's colour failed too
+            continue
+        if nodes >= budget:
+            return Status.BUDGET_EXCEEDED, colour, nodes
+        nodes += 1
+        frame[1] = pos + 1
+        if propagate([(v, allowed[v][pos])]):
+            v = pick_branch_var()
+            if v < 0:
+                return Status.COLOURABLE, colour, nodes
+            stack.append([v, 0, len(trail)])
+        else:
+            undo(mark)
+    return Status.NOT_COLOURABLE, colour, nodes
+
+
 def _solve_edges(
     elems: list[int],
     edges: list[tuple[int, ...]],
     constraints: ColourConstraint,
     budget: int,
 ) -> SolveOutcome:
-    """Core search over an explicit edge list."""
-    colour: dict[int, str | None] = {e: None for e in elems}
-    incident: dict[int, list[tuple[int, ...]]] = {e: [] for e in elems}
-    for edge in edges:
-        for v in edge:
-            incident[v].append(edge)
-
-    for e in elems:
-        if not constraints.colours_for(e):
-            return SolveOutcome(Status.NOT_COLOURABLE, None, 0)
-
-    nodes = 0
-
-    def propagate(queue: list[int], trail: list[int]) -> bool:
-        """Assign forced colours reachable from queue; False on conflict."""
-        while queue:
-            v = queue.pop()
-            for edge in incident[v]:
-                uncoloured = None
-                free = 0
-                seen: set[str] = set()
-                for u in edge:
-                    c = colour[u]
-                    if c is None:
-                        free += 1
-                        if free > 1:
-                            break
-                        uncoloured = u
-                    else:
-                        seen.add(c)
-                if free > 1 or len(seen) > 1:
-                    continue  # nothing forced / already non-monochromatic
-                if free == 0:
-                    return False  # monochromatic edge
-                forced = BLUE if RED in seen else RED
-                if forced not in constraints.colours_for(uncoloured):
-                    return False
-                colour[uncoloured] = forced
-                trail.append(uncoloured)
-                queue.append(uncoloured)
-        return True
-
-    def assign(v: int, c: str, trail: list[int]) -> bool:
-        colour[v] = c
-        trail.append(v)
-        return propagate([v], trail)
-
-    def undo(trail: list[int]) -> None:
-        for v in trail:
-            colour[v] = None
-
-    def pick_branch_var() -> int | None:
-        best = None
-        best_count = -1
-        counts: dict[int, int] = {}
-        for edge in edges:
-            coloured = {colour[u] for u in edge if colour[u] is not None}
-            if len(coloured) > 1:
-                continue  # resolved
-            for u in edge:
-                if colour[u] is None:
-                    counts[u] = counts.get(u, 0) + 1
-        for v in elems:  # ascending, so ties keep the smallest element
-            if colour[v] is None:
-                cnt = counts.get(v, 0)
-                if cnt > best_count:
-                    best, best_count = v, cnt
-        if best_count == 0:
-            return None  # every unresolved edge is gone; leftovers are free
-        return best
-
-    def search() -> Status:
-        nonlocal nodes
-        v = pick_branch_var()
-        if v is None:
-            return Status.COLOURABLE
-        for c in sorted(constraints.colours_for(v)):
-            if nodes >= budget:
-                return Status.BUDGET_EXCEEDED
-            nodes += 1
-            trail: list[int] = []
-            if assign(v, c, trail):
-                result = search()
-                if result is not Status.NOT_COLOURABLE:
-                    return result
-            undo(trail)
-        return Status.NOT_COLOURABLE
-
-    # seed propagation from single-colour constraints
-    trail: list[int] = []
-    for e in elems:
-        allowed = constraints.colours_for(e)
-        if len(allowed) == 1 and colour[e] is None:
-            colour[e] = next(iter(allowed))
-            trail.append(e)
-    if not propagate(list(trail), trail):
-        return SolveOutcome(Status.NOT_COLOURABLE, None, 0)
-
-    status = search()
-    if status is Status.COLOURABLE:
-        # fill unconstrained isolated leftovers deterministically
-        witness = {}
-        for e in elems:
-            if colour[e] is None:
-                allowed = sorted(constraints.colours_for(e))
-                colour[e] = allowed[0]
-            witness[e] = colour[e]
-        return SolveOutcome(status, Colouring(witness), nodes)
-    return SolveOutcome(status, None, nodes)
+    """Core search over an explicit edge list on the elements elems."""
+    index, allowed = _index(elems, constraints)
+    mapped = [tuple(map(index.__getitem__, edge)) for edge in edges]
+    status, colour, nodes = _search(allowed, mapped, budget)
+    if status is not Status.COLOURABLE:
+        return SolveOutcome(status, None, nodes)
+    # unconstrained isolated leftovers take their first allowed colour
+    witness = {
+        e: _NAME[c if c >= 0 else allowed[v][0]]
+        for v, (e, c) in enumerate(zip(elems, colour))
+    }
+    return SolveOutcome(status, Colouring(witness), nodes)
 
 
 def find_schur_colouring(
@@ -244,28 +293,30 @@ def minimal_obstruction(
     budget: int = DEFAULT_BUDGET,
 ) -> ObstructionResult:
     """Edge-minimal uncolourable sub-hypergraph, by deletion in descending
-    lexicographic order; None hypergraph when the instance is colourable."""
+    lexicographic order; None hypergraph when the instance is colourable.
+    The element index and the index-mapped edges are built once, and each
+    deletion trial is one search over the edges still kept."""
     if constraints is None:
         constraints = ColourConstraint.free()
     elems = s.elements()
+    index, allowed = _index(elems, constraints)
     edges = hosting_sets(s)
+    mapped = {edge: tuple(map(index.__getitem__, edge)) for edge in edges}
     total_nodes = 0
 
-    outcome = _solve_edges(elems, edges, constraints, budget)
-    total_nodes += outcome.nodes_explored
-    if outcome.status is Status.COLOURABLE:
-        return ObstructionResult(Status.COLOURABLE, None, total_nodes)
-    if outcome.status is Status.BUDGET_EXCEEDED:
-        return ObstructionResult(Status.BUDGET_EXCEEDED, None, total_nodes)
+    status, _, nodes = _search(allowed, list(mapped.values()), budget)
+    total_nodes += nodes
+    if status is not Status.NOT_COLOURABLE:
+        return ObstructionResult(status, None, total_nodes)
 
     current = list(edges)
     for edge in sorted(edges, reverse=True):
         trial = [e for e in current if e != edge]
-        outcome = _solve_edges(elems, trial, constraints, budget)
-        total_nodes += outcome.nodes_explored
-        if outcome.status is Status.BUDGET_EXCEEDED:
+        status, _, nodes = _search(allowed, [mapped[e] for e in trial], budget)
+        total_nodes += nodes
+        if status is Status.BUDGET_EXCEEDED:
             return ObstructionResult(Status.BUDGET_EXCEEDED, None, total_nodes)
-        if outcome.status is Status.NOT_COLOURABLE:
+        if status is Status.NOT_COLOURABLE:
             current = trial
     hg = HostingHypergraph(n=s.n, vertices=s, edges=current)
     return ObstructionResult(Status.NOT_COLOURABLE, hg, total_nodes)

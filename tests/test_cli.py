@@ -97,6 +97,20 @@ class TestConstruct:
         code, _, err = run(capsys, "construct", "odd", "--n", "9", "--validate")
         assert code == EXIT_USAGE
 
+    def test_dense_zero_at_a_million(self, capsys):
+        # A = [499001, 10^6]; B = [499001, 998000] is blue, C = (998000, 10^6] red
+        n, t = 10**6, 1000
+        code, out, _ = run(capsys, "construct", f"dense0:{n},{t}")
+        assert code == EXIT_OK
+        data = json.loads(out)
+        lo, split = (n + 1) // 2 + 1 - t, n - 2 * t
+        assert data["set"] == f"{lo}-{n}"
+        assert data["size"] == n - lo + 1
+        blue, red = set(data["blue"]), set(data["red"])
+        assert len(blue) + len(red) == data["size"]
+        for e in [lo, lo + 1, split - 1, split, split + 1, n - 1, n, *range(lo, n, 9973)]:
+            assert (e in blue, e in red) == (e <= split, e > split)
+
 
 class TestObstruction:
     def test_colourable(self, capsys):
@@ -165,6 +179,18 @@ class TestSweepCommand:
         data = json.loads(out)
         assert len(data["points"]) == 2
         assert data["master_seed"] == 11
+
+    def test_deep_sparse_search(self, capsys, tmp_path):
+        # about a thousand branching decisions deep: the recursive solver
+        # raised RecursionError on this trial
+        n = 3_000_000
+        path = self._config(
+            tmp_path, n=n, base=f"construct:sparse:{n},10", p_grid=[0.001],
+            trials=1, seed=3, budget=10**7,
+        )
+        code, out, _ = run(capsys, "sweep", "--config", path)
+        assert code == EXIT_OK
+        assert json.loads(out)["points"][0]["not_schur"] == 1
 
     def test_seed_mandatory(self, capsys, tmp_path):
         path = self._config(tmp_path, seed=None)

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from schurperturb.intset import (
@@ -63,6 +63,25 @@ class TestConstruction:
     def test_equality_requires_same_ground(self):
         assert IntSet(5, [1]) != IntSet(6, [1])
         assert IntSet(5, [1]) == IntSet(5, [1])
+
+
+class TestIteration:
+    @given(
+        st.integers(1, 2000).flatmap(
+            lambda n: st.tuples(st.just(n), st.integers(0, (1 << (n + 1)) - 1))
+        )
+    )
+    @example((1, 0))
+    @example((1, 0b10))
+    @settings(max_examples=300)
+    def test_matches_bitwise_decode(self, case):
+        n, mask = case
+        mask &= ~1  # bit 0 is unused
+        s = IntSet._from_mask(n, mask)
+        naive = [i for i in range(1, n + 1) if mask >> i & 1]
+        assert list(s) == naive
+        assert s.elements() == naive
+        assert all(type(x) is int for x in s)
 
 
 class TestSerialization:

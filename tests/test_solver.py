@@ -1,8 +1,11 @@
+import hashlib
 import itertools
 
 import pytest
 
+from schurperturb.constructions import construct_by_name
 from schurperturb.intset import IntSet, hosting_sets, is_sum_free
+from schurperturb.montecarlo import RngSpec, sample_perturbation
 from schurperturb.solver import (
     BLUE,
     RED,
@@ -15,6 +18,7 @@ from schurperturb.solver import (
     find_loose_cycle,
     find_schur_colouring,
     is_schur,
+    _solve_edges,
     minimal_obstruction,
     validate_colouring,
 )
@@ -82,6 +86,10 @@ class TestConstraints:
         out = find_schur_colouring(s, ColourConstraint({1: frozenset()}))
         assert out.status is Status.NOT_COLOURABLE
 
+    def test_unknown_colour_rejected(self):
+        with pytest.raises(ValueError):
+            find_schur_colouring(IntSet(4, [1, 3]), ColourConstraint({1: frozenset("G")}))
+
 
 class TestValidateColouring:
     def test_reports_monochromatic(self):
@@ -107,8 +115,6 @@ class TestMinimalObstruction:
         edges = res.hypergraph.edges
         elems = s.elements()
         # obstruction itself is uncolourable, every proper subset colourable
-        from schurperturb.solver import _solve_edges
-
         assert (
             _solve_edges(elems, edges, ColourConstraint.free(), 10**7).status
             is Status.NOT_COLOURABLE
@@ -185,3 +191,103 @@ class TestNodeAccounting:
         assert exact.status is full.status
         short = find_schur_colouring(s, budget=full.nodes_explored - 1)
         assert short.status is Status.BUDGET_EXCEEDED
+
+
+class TestDeepSearch:
+    def test_independent_two_edges_need_no_recursion(self):
+        # one decision per edge, 5000 deep: beyond any interpreter recursion limit
+        k = 5000
+        elems = list(range(1, 2 * k + 1))
+        edges = [(2 * i - 1, 2 * i) for i in range(1, k + 1)]
+        out = _solve_edges(elems, edges, ColourConstraint.free(), 10**7)
+        assert out.status is Status.COLOURABLE
+        assert out.nodes_explored == k
+        assert all(out.witness.assignment[a] != out.witness.assignment[b] for a, b in edges)
+
+
+def _digest(witness: Colouring | None) -> str | None:
+    if witness is None:
+        return None
+    text = repr(sorted(witness.assignment.items()))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _pinned_instance(kind: str, x: float, trial: int):
+    """(set, constraints) of one pinned case: a dense0:300,15 trial at x th,
+    a sparse:200,14 trial forced blue at x th, or IntSet.full(x)."""
+    if kind == "full":
+        return IntSet.full(int(x)), None
+    if kind == "dense":
+        base = construct_by_name("dense0:300,15").A
+        p = x * min(300 ** (-2 / 3), 1 / 15)
+        return base.union(sample_perturbation(300, p, RngSpec(1), trial)), None
+    base = construct_by_name("sparse:200,14")
+    p = x * (200 * 14) ** (-1 / 3)
+    perturbed = base.union(sample_perturbation(200, p, RngSpec(1), trial))
+    return perturbed, ColourConstraint.force_blue(base)
+
+
+# (kind, x, trial, budget) -> (status, nodes_explored, witness digest),
+# recorded with the recursive solver this search replaced
+PINNED_TREES = [
+    (("dense", 0.5, 0, None), ("colourable", 55, "773bdfe4830602c5")),
+    (("dense", 0.5, 1, None), ("colourable", 52, "e4eb068c5f68916f")),
+    (("dense", 0.5, 2, None), ("colourable", 31, "5db96a0e523cbd0a")),
+    (("dense", 0.5, 3, None), ("colourable", 15, "8df7e9f0cb8fb7f7")),
+    (("dense", 1.0, 0, None), ("colourable", 18, "1184bc731e7fde5f")),
+    (("dense", 1.0, 1, None), ("not_colourable", 14, None)),
+    (("dense", 1.0, 2, None), ("not_colourable", 14, None)),
+    (("dense", 1.0, 3, None), ("colourable", 15, "8df7e9f0cb8fb7f7")),
+    (("dense", 1.5, 0, None), ("colourable", 12, "79e9248b08b3e1c1")),
+    (("dense", 1.5, 1, None), ("not_colourable", 38, None)),
+    (("dense", 1.5, 2, None), ("not_colourable", 14, None)),
+    (("dense", 1.5, 3, None), ("colourable", 47, "2dd8e3ccbcd74dac")),
+    (("dense", 0.5, 0, 27), ("budget_exceeded", 27, None)),
+    (("dense", 1.5, 1, 19), ("budget_exceeded", 19, None)),
+    (("sparse", 2.0, 0, None), ("not_colourable", 0, None)),
+    (("sparse", 2.0, 1, None), ("colourable", 10, "88af0e19cef029fb")),
+    (("sparse", 2.0, 2, None), ("not_colourable", 14, None)),
+    (("sparse", 2.0, 3, None), ("colourable", 4, "2684e8988e1e038c")),
+    (("full", 4, 0, 0), ("budget_exceeded", 0, None)),
+    (("full", 13, 0, 1), ("budget_exceeded", 1, None)),
+]
+
+# sparse:200,14 forced blue at 2 th, trial -> (nodes_explored, edges)
+PINNED_OBSTRUCTIONS = {
+    0: (12, [(6, 12), (6, 187, 193), (12, 187, 199)]),
+    2: (268, [(4, 61, 65), (4, 129, 133), (4, 187, 191), (61, 129, 190),
+              (61, 133, 194), (65, 129, 194), (65, 133, 198)]),
+    5: (18, [(9, 83, 92), (9, 97, 106), (9, 187, 196), (83, 106, 189),
+             (92, 106, 198), (97, 194)]),
+    6: (779, [(7, 22, 29), (7, 46, 53), (7, 50, 57), (7, 74, 81), (7, 187, 194),
+              (22, 23, 45), (22, 28, 50), (22, 177, 199), (23, 46), (23, 130, 153),
+              (28, 29, 57), (28, 46, 74), (28, 53, 81), (29, 45, 74), (29, 53, 82),
+              (29, 101, 130), (29, 171, 200), (37, 45, 82), (37, 74), (45, 132, 177),
+              (46, 153, 199), (57, 130, 187), (57, 132, 189), (70, 101, 171),
+              (70, 130, 200)]),
+    8: (4, [(11, 84, 95), (11, 187, 198), (13, 95, 108), (13, 187, 200),
+            (84, 108, 192), (95, 190)]),
+}
+
+
+class TestPinnedSearchTree:
+    """The search visits the same nodes in the same order as the recursive
+    solver it replaced: same verdicts, node counts, budget cut-offs and
+    witnesses, and the same deletion-order obstructions."""
+
+    @pytest.mark.parametrize("case,expected", PINNED_TREES)
+    def test_solve(self, case, expected):
+        kind, x, trial, budget = case
+        s, constraints = _pinned_instance(kind, x, trial)
+        if budget is None:
+            out = find_schur_colouring(s, constraints)
+        else:
+            out = find_schur_colouring(s, constraints, budget)
+        assert (out.status.value, out.nodes_explored, _digest(out.witness)) == expected
+
+    @pytest.mark.parametrize("trial", sorted(PINNED_OBSTRUCTIONS))
+    def test_minimal_obstruction(self, trial):
+        s, constraints = _pinned_instance("sparse", 2.0, trial)
+        res = minimal_obstruction(s, constraints)
+        assert res.status is Status.NOT_COLOURABLE
+        assert (res.nodes_explored, res.hypergraph.edges) == PINNED_OBSTRUCTIONS[trial]
