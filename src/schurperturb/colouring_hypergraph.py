@@ -106,74 +106,82 @@ def ha_stats(h: ColouringHypergraph) -> HAStats:
     )
 
 
-def _pair_count(a: int, n: int) -> int:
-    return (a - 1) // 2 + (n - a) - (1 if a <= n - a else 0)
+# Cells (rows x (n + 1)) of one row block of ha_stats_fast's cross-colour
+# matrix, and of one chunk of its shared-pair sums.
+HA_BLOCK_CELLS = 1 << 18
 
 
-def _common_pair(a: int, a2: int, n: int) -> frozenset[int] | None:
-    """The unique pair hosting with both targets a > a2, if any."""
-    if a <= a2 or (a - a2) % 2 or a == 3 * a2:
-        return None
-    u = (a - a2) // 2
-    v = (a + a2) // 2
-    if u < 1 or v > n:
-        return None
-    return frozenset((u, v))
+def _pair_counts(a: np.ndarray, n: int) -> np.ndarray:
+    """k_a: the number of hosting pairs of each target a."""
+    return (a - 1) // 2 + (n - a) - (a <= n - a)
 
 
-def _elem_pair_degrees(a: int, n: int) -> np.ndarray:
-    """c[e] = number of hosting pairs of a containing element e."""
-    e = np.arange(n + 1)
-    c = np.zeros(n + 1, dtype=np.int64)
-    c += ((e <= a - 1) & (a - e >= 1) & (a != 2 * e) & (e >= 1)).astype(np.int64)
-    c += ((e + a <= n) & (e != a) & (e >= 1)).astype(np.int64)
-    c += ((e - a >= 1) & (e != 2 * a)).astype(np.int64)
+def _double_pairs(a: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every pair of targets a > a2 with a common hosting pair {u, v}, as
+    index arrays (i, j) into a and the arrays u < v: it exists iff a - a2
+    is even, a != 3 a2 and v = (a + a2) / 2 <= n."""
+    i, j = np.nonzero(a[:, None] > a[None, :])
+    big, small = a[i], a[j]
+    ok = ((big - small) % 2 == 0) & (big != 3 * small) & (big + small <= 2 * n)
+    i, j = i[ok], j[ok]
+    return i, j, (a[i] - a[j]) // 2, (a[i] + a[j]) // 2
+
+
+def _elem_pair_degrees(a: np.ndarray, n: int) -> np.ndarray:
+    """c[i, e] = number of hosting pairs of a[i] containing element e, as an
+    |a| x (n + 1) int8 matrix (entries 0..3)."""
+    a = a[:, None]
+    e = np.arange(n + 1)[None, :]
+    c = ((e >= 1) & (e <= a - 1) & (a != 2 * e)).astype(np.int8)
+    c += (e >= 1) & (e + a <= n) & (e != a)
+    c += (e - a >= 1) & (e != 2 * a)
     return c
 
 
 def ha_stats_fast(a_set: IntSet, n: int) -> HAStats:
-    """Exact stats computed analytically, without materializing edges."""
-    elems = a_set.elements()
-    if not elems:
+    """Exact stats computed analytically, without materializing edges.
+
+    With C the |A| x (n + 1) matrix of _elem_pair_degrees, the number of
+    edges through the cross-colour vertex pair ((x, R), (z, B)) is
+    (C^T C)[x, z] minus the shared hosting pairs {u, v} (one per double
+    target pair) with x, z in {u, v}. Its maximum is taken over row blocks
+    of at most HA_BLOCK_CELLS cells of the upper triangle (the matrix is
+    symmetric), each one float64 BLAS product; the entries are integers of
+    at most 9 |A| < 2^53, so the products are exact. No (n + 1)^2 array
+    exists: time O(|A| n^2) flops plus O(|A|^2 n) for the shared pairs,
+    memory O(|A| n + HA_BLOCK_CELLS) (under 20 MB at n = 2000, |A| = 45).
+    """
+    a = np.array(a_set.elements(), dtype=np.int64)
+    if not a.size:
         return HAStats(0, 0.0, 0, 0, 0)
-    k = {a: _pair_count(a, n) for a in elems}
-
-    double_pairs = []  # (a, a2, common pair)
-    for i, a in enumerate(elems):
-        for a2 in elems[:i]:
-            q = _common_pair(a, a2, n)
-            if q is not None:
-                double_pairs.append((a, a2, q))
-
-    e = sum(v * v for v in k.values()) - len(double_pairs)
-
-    c = {a: _elem_pair_degrees(a, n) for a in elems}
+    k = _pair_counts(a, n)
+    i, j, u, v = _double_pairs(a, n)
+    e = sum(v * v for v in k.tolist()) - len(i)  # Python ints: exact at any n
 
     # same-colour pair degree: k_a, or k_a + k_a2 - 1 on a shared pair
-    d2_same = max((v for v in k.values() if v > 0), default=0)
-    for a, a2, _ in double_pairs:
-        d2_same = max(d2_same, k[a] + k[a2] - 1)
+    d2_same = int(max(k.max(initial=0), (k[i] + k[j] - 1).max(initial=0)))
 
-    # cross-colour pair degree via the target-summed incidence matrix
-    m = np.zeros((n + 1, n + 1), dtype=np.int64)
-    for a in elems:
-        m += np.outer(c[a], c[a])
-    for _, _, q in double_pairs:
-        idx = sorted(q)
-        for x in idx:
-            for z in idx:
-                m[x, z] -= 1
-    d2_cross = int(m.max()) if e else 0
+    c = _elem_pair_degrees(a, n)
+    rows = max(1, HA_BLOCK_CELLS // (n + 1))
+    d2_cross = 0
+    if e:
+        cf = c.astype(np.float64)
+        shared_x = np.concatenate([u, u, v, v])
+        shared_z = np.concatenate([u, v, u, v])
+        for lo in range(0, n + 1, rows):
+            hi = min(n + 1, lo + rows)
+            block = cf[:, lo:hi].T @ cf[:, lo:]
+            sel = (shared_x >= lo) & (shared_x < hi) & (shared_z >= lo)
+            np.subtract.at(block, (shared_x[sel] - lo, shared_z[sel] - lo), 1)
+            d2_cross = max(d2_cross, int(block.max()))
     delta2 = max(d2_same, d2_cross)
 
-    delta3 = 0
-    for a in elems:
-        if k[a] > 0:
-            delta3 = max(delta3, int(c[a].max()))
-    for a, a2, q in double_pairs:
-        vec = c[a] + c[a2]
-        for x in sorted(q):
-            vec[x] -= 1
+    delta3 = int(c[k > 0].max(initial=0))
+    for lo in range(0, len(i), rows):
+        vec = c[i[lo : lo + rows]] + c[j[lo : lo + rows]]
+        r = np.arange(len(vec))
+        vec[r, u[lo : lo + rows]] -= 1
+        vec[r, v[lo : lo + rows]] -= 1
         delta3 = max(delta3, int(vec.max()))
 
     return HAStats(
@@ -319,11 +327,14 @@ def claim48_density_witness(c: ContainerLike) -> tuple[int, str] | None:
     9/20 on [eta]; smallest witnessing eta wins, red before blue on ties."""
     _, r, b, _ = partition_by_container(c)
     n = c.n
-    r_counts = np.cumsum([1 if e in r else 0 for e in range(1, n + 1)])
-    b_counts = np.cumsum([1 if e in b else 0 for e in range(1, n + 1)])
-    for eta in range((n + 1) // 2, n + 1):
-        if 20 * r_counts[eta - 1] >= 9 * eta:
-            return eta, "R"
-        if 20 * b_counts[eta - 1] >= 9 * eta:
-            return eta, "B"
-    return None
+    eta = np.arange((n + 1) // 2, n + 1)
+    hits = []
+    for side in (r, b):
+        ind = np.zeros(n + 1, dtype=np.int64)
+        ind[side.elements()] = 1
+        hits.append(20 * np.cumsum(ind)[eta] >= 9 * eta)
+    first = np.flatnonzero(hits[0] | hits[1])
+    if not first.size:
+        return None
+    i = int(first[0])
+    return int(eta[i]), "R" if hits[0][i] else "B"

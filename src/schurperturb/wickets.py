@@ -6,18 +6,27 @@ tuples. The fast path fixes (x1, x2), views each leg as a choice of y_i,
 and enforces the nine-element distinctness by inclusion-exclusion over the
 pairwise leg coincidences (two legs can share at most one element because
 the x_i are pairwise distinct), with every term a shifted vector product.
+
+The kernels are batched: one row per (x1, x2), one column per element of
+[0, n], so every shift by x_i is a per-row gather on a row matrix. Rows go
+in batches of at most BATCH_CELLS cells, which bounds the working memory at
+a few dozen arrays of that many cells whatever n is.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import combinations, product
+from itertools import product
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .intset import IntSet
+from .intset import IntSet, indicator
 
 FACT9 = math.factorial(9)
+
+# Cells (rows x (n + 1)) of one batch of (x1, x2) rows.
+BATCH_CELLS = 1 << 18
 
 
 def is_wicket(entries, n: int) -> bool:
@@ -32,108 +41,116 @@ def is_wicket(entries, n: int) -> bool:
     )
 
 
-def _bool_array(s: IntSet, n: int) -> np.ndarray:
-    arr = np.zeros(n + 1, dtype=bool)
-    arr[list(s)] = True
-    return arr
+def _shift(m: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """out[r, y] = m[r, y + s[r]], zero where y + s[r] leaves [0, w) for
+    row width w; every |s[r]| must be at most w."""
+    rows, w = m.shape
+    pad = np.zeros((rows, 3 * w), dtype=m.dtype)
+    pad[:, w : 2 * w] = m
+    return sliding_window_view(pad, w, axis=1)[np.arange(rows), w + s]
 
 
-def _leg(t: np.ndarray, x: int) -> np.ndarray:
-    """Indicator over y of the pair {y, y+x} lying inside t."""
-    out = np.zeros_like(t)
-    if x < len(t) - 1:
-        out[1 : len(t) - x] = t[1 : len(t) - x] & t[1 + x :]
-    return out
+def _legs(t: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Per row, the indicator over y of the pair {y, y + x} lying inside t."""
+    return t & _shift(t, x)
 
 
-def _deg(leg: np.ndarray, x: int) -> np.ndarray:
-    """deg[e] = number of leg pairs containing the element e (0, 1 or 2)."""
-    d = leg.astype(np.int64)
-    out = d.copy()
-    out[x:] += d[: len(d) - x]
-    return out
+def _deg(p: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """deg[r, e] = number of row r's leg pairs containing e (0, 1 or 2)."""
+    return p + _shift(p.astype(np.int64), -x)
 
 
-def _shift_product_sum(p1, p2, p3, s2: int, s3: int) -> int:
-    """sum over y of p1[y] * p2[y+s2] * p3[y+s3], shifts possibly negative."""
-    m = len(p1)
-    lo = max(0, -s2, -s3)
-    hi = min(m, m - s2, m - s3)
-    if hi <= lo:
-        return 0
-    a = p1[lo:hi]
-    b = p2[lo + s2 : hi + s2]
-    c = p3[lo + s3 : hi + s3]
-    return int(np.sum(a & b & c))
-
-
-def _disjoint_triples(x1: int, x2: int, t1: np.ndarray, t2: np.ndarray, t3: np.ndarray) -> int:
-    """Ordered (y1, y2, y3) with legs pairwise disjoint, leg i inside t_i."""
+def _disjoint_triples(x1: np.ndarray, x2: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Per row, the ordered (y1, y2, y3) whose legs {y_i, y_i + x_i}, with
+    x3 = x1 + x2, lie inside that row of t and are pairwise disjoint."""
     x3 = x1 + x2
-    p1, p2, p3 = _leg(t1, x1), _leg(t2, x2), _leg(t3, x3)
-    c1, c2, c3 = int(p1.sum()), int(p2.sum()), int(p3.sum())
-    if c1 == 0 or c2 == 0 or c3 == 0:
-        return 0
-    d1, d2, d3 = _deg(p1, x1), _deg(p2, x2), _deg(p3, x3)
+    xs = (x1, x2, x3)
+    p = [_legs(t, x) for x in xs]
+    c = [pi.sum(axis=1) for pi in p]
+    d = [_deg(pi, x) for pi, x in zip(p, xs)]
+    o12, o13, o23 = ((d[i] * d[j]).sum(axis=1) for i, j in ((0, 1), (0, 2), (1, 2)))
 
-    o12 = int(np.dot(d1, d2))
-    o13 = int(np.dot(d1, d3))
-    o23 = int(np.dot(d2, d3))
-
-    def pair_overlap_profile(deg_other: np.ndarray, x: int) -> np.ndarray:
+    def overlap_profile(deg_other: np.ndarray, x: np.ndarray) -> np.ndarray:
         # per-y count of other-leg pairs meeting {y, y+x}
-        out = deg_other.copy()
-        out[: len(out) - x] += deg_other[x:]
-        return out
+        return deg_other + _shift(deg_other, x)
 
-    u12 = pair_overlap_profile(d2, x1)
-    u13 = pair_overlap_profile(d3, x1)
-    t_1 = int(np.sum(p1 * u12 * u13))
-    u21 = pair_overlap_profile(d1, x2)
-    u23 = pair_overlap_profile(d3, x2)
-    t_2 = int(np.sum(p2 * u21 * u23))
-    u31 = pair_overlap_profile(d1, x3)
-    u32 = pair_overlap_profile(d2, x3)
-    t_3 = int(np.sum(p3 * u31 * u32))
+    t_1 = (p[0] * overlap_profile(d[1], x1) * overlap_profile(d[2], x1)).sum(axis=1)
+    t_2 = (p[1] * overlap_profile(d[0], x2) * overlap_profile(d[2], x2)).sum(axis=1)
+    t_3 = (p[2] * overlap_profile(d[0], x3) * overlap_profile(d[1], x3)).sum(axis=1)
 
     # all three legs pairwise intersecting: the shared-element patterns fix
     # y2 = y1 + s2 and y3 = y1 + s3 with s3 - s2 a valid leg-2/3 offset
-    d12_shifts = (0, -x2, x1, x1 - x2)
-    d13_shifts = (0, -x3, x1, x1 - x3)
-    d23_shifts = {0, -x3, x2, x2 - x3}
+    zero = np.zeros_like(x1)
+    d12_shifts = (zero, -x2, x1, x1 - x2)
+    d13_shifts = (zero, -x3, x1, x1 - x3)
+    d23_shifts = (zero, -x3, x2, x2 - x3)
+    p2s = [_shift(p[1], s2) for s2 in d12_shifts]
+    p3s = [_shift(p[2], s3) for s3 in d13_shifts]
     q = 0
-    for s2 in d12_shifts:
-        for s3 in d13_shifts:
-            if s3 - s2 in d23_shifts:
-                q += _shift_product_sum(p1, p2, p3, s2, s3)
+    for s2, p2 in zip(d12_shifts, p2s):
+        for s3, p3 in zip(d13_shifts, p3s):
+            valid = np.zeros(len(x1), dtype=bool)
+            for s23 in d23_shifts:
+                valid |= s3 - s2 == s23
+            q = q + np.where(valid, (p[0] & p2 & p3).sum(axis=1), 0)
 
+    c1, c2, c3 = c
     return c1 * c2 * c3 - o12 * c3 - o13 * c2 - o23 * c1 + t_1 + t_2 + t_3 - q
 
 
+def _two_leg_disjoint(xa: np.ndarray, xb: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Per row, the ordered (ya, yb) with disjoint legs inside t."""
+    pa, pb = _legs(t, xa), _legs(t, xb)
+    return pa.sum(axis=1) * pb.sum(axis=1) - (_deg(pa, xa) * _deg(pb, xb)).sum(axis=1)
+
+
+def _open_rows(n: int, removed) -> np.ndarray:
+    """One row of [0, n] per entry of the removed arrays: True on [1, n]
+    except at that row's removed elements (each in [1, n])."""
+    rows = len(removed[0])
+    t = np.ones((rows, n + 1), dtype=bool)
+    t[:, 0] = False
+    r = np.arange(rows)
+    for col in removed:
+        t[r, col] = False
+    return t
+
+
+def _batches(rows: int, n: int):
+    step = max(1, BATCH_CELLS // (n + 1))
+    return (slice(lo, lo + step) for lo in range(0, rows, step))
+
+
 def count_wickets(s: IntSet, chi: IntSet | None = None, method: str = "ie") -> int:
-    """Ordered wicket count over s; legs restricted to chi when given."""
-    if chi is not None:
-        for e in chi:
-            if e not in s:
-                raise ValueError("chi must be a subset of s")
+    """Ordered wicket count over s; legs restricted to chi when given.
+
+    The "ie" method batches one row per (x1, x2) with x1 + x2 in s: time
+    O(|s|^2 + r n) for r such rows, memory O(BATCH_CELLS); exact while the
+    per-row counts, at most n^3, fit in int64 (n <= 2 * 10^6).
+    """
+    if chi is not None and chi.mask & ~s.mask:
+        raise ValueError("chi must be a subset of s")
     if method == "enumerate":
         return sum(1 for _ in iter_wickets(s, chi))
     if method != "ie":
         raise ValueError(f"unknown method {method!r}")
     n = s.n
-    base = _bool_array(chi if chi is not None else s, n)
+    base = np.zeros(n + 1, dtype=bool)
+    legs_ground = indicator(chi if chi is not None else s)[: n + 1]
+    base[: legs_ground.size] = legs_ground
+    e = np.array(s.elements(), dtype=np.int64)
+    member = np.zeros(2 * n + 2, dtype=bool)
+    member[e] = True
+    x1, x2 = (m.ravel() for m in np.meshgrid(e, e, indexing="ij"))
+    keep = (x1 != x2) & member[x1 + x2]
+    x1, x2 = x1[keep], x2[keep]
     total = 0
-    elems = s.elements()
-    for x1 in elems:
-        for x2 in elems:
-            if x2 == x1:
-                continue
-            x3 = x1 + x2
-            if x3 > n or x3 not in s:
-                continue
-            t = base.copy()
-            t[x1] = t[x2] = t[x3] = False
-            total += _disjoint_triples(x1, x2, t, t, t)
+    for b in _batches(len(x1), n):
+        b1, b2 = x1[b], x2[b]
+        t = np.repeat(base[None, :], len(b1), axis=0)
+        r = np.arange(len(b1))
+        t[r, b1] = t[r, b2] = t[r, b1 + b2] = False
+        total += int(_disjoint_triples(b1, b2, t).sum())
     return total
 
 
@@ -180,116 +197,128 @@ def count_wickets_unordered(s: IntSet, chi: IntSet | None = None) -> int:
     return len({frozenset(w) for w in iter_wickets(s, chi)})
 
 
-def _two_leg_disjoint(xa: int, xb: int, t: np.ndarray) -> int:
-    pa, pb = _leg(t, xa), _leg(t, xb)
-    ca, cb = int(pa.sum()), int(pb.sum())
-    if ca == 0 or cb == 0:
-        return 0
-    return ca * cb - int(np.dot(_deg(pa, xa), _deg(pb, xb)))
-
-
 def count_wickets_containing(u, n: int) -> int:
-    """Wickets in [n]^9 whose entry set contains every element of u."""
+    """Wickets in [n]^9 whose entry set contains every element of u.
+
+    Rows are the (x1, x2) with x1 != x2 and x1 + x2 <= n, grouped by the
+    part u_rest of u outside {x1, x2, x3}; a group with |u_rest| > 6 has no
+    wicket. Each element of u_rest lies in exactly one leg, so a wicket is
+    counted once under its split of u_rest into leg groups: a 2-element
+    group {a < b} is leg i itself and forces x_i = b - a, a 1-element group
+    {a} is leg i as {a, a + x_i} or {a - x_i, a}, and the legs with no group
+    are counted on the elements left free. Each group's splits are listed
+    once; a split whose forced differences match no row is skipped before
+    any leg is built, and the rest are evaluated on all their rows at once.
+    Time O(n^2 (n + |u|) + sum over splits of their rows times n), memory
+    O(BATCH_CELLS).
+    """
     u_set = set(u)
     if not u_set:
         raise ValueError("u must be nonempty")
     if any(not 1 <= e <= n for e in u_set) or len(u_set) > 9:
         return 0
-    full = np.ones(n + 1, dtype=bool)
-    full[0] = False
+    x1, x2 = np.nonzero(np.add.outer(np.arange(n + 1), np.arange(n + 1)) <= n)
+    keep = (x1 >= 1) & (x2 >= 1) & (x1 != x2)
+    x1, x2 = x1[keep], x2[keep]
+    x3 = x1 + x2
+    uu = np.array(sorted(u_set), dtype=np.int64)
+    outside = (uu != x1[:, None]) & (uu != x2[:, None]) & (uu != x3[:, None])
+    codes = outside @ (1 << np.arange(len(uu)))
     total = 0
-    for x1 in range(1, n):
-        for x2 in range(1, n - x1 + 1):
-            if x2 == x1:
-                continue
-            x3 = x1 + x2
-            xs = {x1, x2, x3}
-            u_rest = sorted(u_set - xs)
-            if len(u_rest) > 6:
-                continue
-            t = full.copy()
-            t[[x1, x2, x3]] = False
-            total += _count_required(x1, x2, t, u_rest)
+    for code in np.unique(codes).tolist():
+        u_rest = [int(a) for i, a in enumerate(uu) if code >> i & 1]
+        if len(u_rest) <= 6:
+            rows = codes == code
+            total += _count_required(x1[rows], x2[rows], u_rest, n)
     return total
 
 
-def _iter_leg_groups(u_rest: list[int]):
-    """All ways to split u_rest into three ordered groups of size <= 2."""
-    k = len(u_rest)
-    pool = set(u_rest)
-    for size0 in range(min(2, k) + 1):
-        for g0 in combinations(u_rest, size0):
-            rest1 = sorted(pool - set(g0))
-            k1 = len(rest1)
-            if k1 > 4:
-                continue
-            for size1 in range(max(0, k1 - 2), min(2, k1) + 1):
-                for g1 in combinations(rest1, size1):
-                    g2 = tuple(sorted(set(rest1) - set(g1)))
-                    yield [list(g0), list(g1), list(g2)]
+def _leg_splits(u_rest: list[int], by_diff: list[dict], leg: int = 0, rows=None):
+    """Every split of u_rest into groups for legs leg..2, at most two
+    elements each, with the rows it can use. A 2-element group {a < b} for
+    leg i keeps only the rows in by_diff[i][b - a] (those with x_i = b - a);
+    splits left with no row are never built. Yields (groups, rows), rows
+    None when no group restricts them."""
+    if leg == 3:
+        if not u_rest:
+            yield [], rows
+        return
+    if len(u_rest) > 2 * (3 - leg):
+        return
+    for rest, r in _leg_splits(u_rest, by_diff, leg + 1, rows):
+        yield [[]] + rest, r
+    for k, a in enumerate(u_rest):
+        others = u_rest[:k] + u_rest[k + 1 :]
+        for rest, r in _leg_splits(others, by_diff, leg + 1, rows):
+            yield [[a]] + rest, r
+        for b in u_rest[k + 1 :]:
+            hit = by_diff[leg].get(b - a, frozenset())
+            if rows is not None:
+                hit = hit & rows
+            if hit:
+                others2 = [c for c in others if c != b]
+                for rest, r in _leg_splits(others2, by_diff, leg + 1, hit):
+                    yield [[a, b]] + rest, r
 
 
-def _count_required(x1: int, x2: int, t: np.ndarray, u_rest: list[int]) -> int:
-    x3 = x1 + x2
+def _rows_by_value(x: np.ndarray) -> dict[int, frozenset[int]]:
+    """The row indices of x grouped by their value."""
+    order = np.argsort(x, kind="stable")
+    values, starts = np.unique(x[order], return_index=True)
+    return {d: frozenset(g.tolist()) for d, g in zip(values.tolist(), np.split(order, starts[1:]))}
+
+
+def _count_required(x1: np.ndarray, x2: np.ndarray, u_rest: list[int], n: int) -> int:
+    """Sum over the rows (x1, x2) of the wickets through them whose legs
+    cover u_rest, an ascending list disjoint from every row's x's."""
+    xleg = (x1, x2, x1 + x2)
     if not u_rest:
-        return _disjoint_triples(x1, x2, t, t, t)
-    xleg = (x1, x2, x3)
-    n = len(t) - 1
-    u_rest_set = set(u_rest)
+        return sum(
+            int(_disjoint_triples(x1[b], x2[b], _open_rows(n, [xl[b] for xl in xleg])).sum())
+            for b in _batches(len(x1), n)
+        )
+    rest = np.array(u_rest)
+    # in_rest[n + e] tells whether e is in u_rest, for e in [-n, 2n]
+    in_rest = np.zeros(3 * n + 1, dtype=bool)
+    in_rest[n + rest] = True
+    by_diff = [_rows_by_value(xl) for xl in xleg]
     total = 0
-    for groups in _iter_leg_groups(u_rest):
-        # candidate pairs for each constrained leg
-        leg_candidates: list[list[frozenset[int]] | None] = []
-        feasible = True
-        for i in range(3):
-            g = groups[i]
-            x = xleg[i]
-            if not g:
-                leg_candidates.append(None)
+    for groups, rows in _leg_splits(u_rest, by_diff):
+        if rows is None:
+            xr = list(xleg)
+        else:
+            idx = np.array(sorted(rows))
+            xr = [xl[idx] for xl in xleg]
+        singles = [(i, g[0]) for i, g in enumerate(groups) if len(g) == 1]
+        doubles = [(i, g) for i, g in enumerate(groups) if len(g) == 2]
+        free = [i for i, g in enumerate(groups) if not g]
+        # each single is the smaller (y) or larger (z) end of its leg
+        for ends in product((0, 1), repeat=len(singles)):
+            ok = np.ones(len(xr[0]), dtype=bool)
+            fixed = [(np.full(len(ok), g[0]), np.full(len(ok), g[1])) for _, g in doubles]
+            for (i, a), end in zip(singles, ends):
+                lo = a - end * xr[i]
+                hi = lo + xr[i]
+                other = hi if end == 0 else lo
+                ok &= (lo >= 1) & (hi <= n) & ~in_rest[n + other]
+                ok &= (other != xr[0]) & (other != xr[1]) & (other != xr[2])
+                fixed.append((lo, hi))
+            for k, (lo_k, hi_k) in enumerate(fixed):
+                for lo_m, hi_m in fixed[:k]:
+                    ok &= (lo_k != lo_m) & (lo_k != hi_m) & (hi_k != lo_m) & (hi_k != hi_m)
+            if not free:
+                total += int(np.count_nonzero(ok))
                 continue
-            cands = []
-            if len(g) == 2:
-                a, b = sorted(g)
-                if b - a == x and t[a] and t[b]:
-                    cands.append(frozenset((a, b)))
-            else:
-                a = g[0]
-                for y in (a, a - x):
-                    z = y + x
-                    if 1 <= y and z <= n and t[y] and t[z]:
-                        other = z if y == a else y
-                        if other not in u_rest_set:
-                            cands.append(frozenset((y, z)))
-            if not cands:
-                feasible = False
-                break
-            leg_candidates.append(cands)
-        if not feasible:
-            continue
-        free_legs = [i for i in range(3) if leg_candidates[i] is None]
-        fixed_lists = [c for c in leg_candidates if c is not None]
-        for combo in product(*fixed_lists):
-            used: set[int] = set()
-            ok = True
-            for pair in combo:
-                if used & pair:
-                    ok = False
-                    break
-                used |= pair
-            if not ok:
-                continue
-            if not free_legs:
-                total += 1
-                continue
-            t_free = t.copy()
-            t_free[list(used | u_rest_set)] = False
-            if len(free_legs) == 1:
-                p = _leg(t_free, xleg[free_legs[0]])
-                total += int(p.sum())
-            else:
-                total += _two_leg_disjoint(
-                    xleg[free_legs[0]], xleg[free_legs[1]], t_free
-                )
+            sel = [x[ok] for x in xr]
+            ends_used = [arr[ok] for leg in fixed for arr in leg]
+            for b in _batches(len(sel[0]), n):
+                removed = [x[b] for x in sel] + [arr[b] for arr in ends_used]
+                t = _open_rows(n, removed)
+                t[:, rest] = False
+                if len(free) == 1:
+                    total += int(_legs(t, sel[free[0]][b]).sum())
+                else:
+                    total += int(_two_leg_disjoint(sel[free[0]][b], sel[free[1]][b], t).sum())
     return total
 
 

@@ -1,8 +1,13 @@
 import json
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from schurperturb import colouring_hypergraph
 from schurperturb.colouring_hypergraph import (
     Compatibility,
     ContainerLike,
@@ -19,6 +24,69 @@ from schurperturb.colouring_hypergraph import (
 )
 from schurperturb.intset import IntSet, is_sum_free
 from schurperturb.solver import SchurStatus, is_schur
+
+
+def ref_ha_stats_fast(a_set: IntSet, n: int) -> HAStats:
+    """Reference: the cross-colour maximum from the full (n+1)^2 sum of
+    outer products."""
+    elems = a_set.elements()
+    if not elems:
+        return HAStats(0, 0.0, 0, 0, 0)
+    k = {a: (a - 1) // 2 + (n - a) - (1 if a <= n - a else 0) for a in elems}
+    double_pairs = []
+    for i, a in enumerate(elems):
+        for a2 in elems[:i]:
+            if a <= a2 or (a - a2) % 2 or a == 3 * a2:
+                continue
+            u, v = (a - a2) // 2, (a + a2) // 2
+            if u >= 1 and v <= n:
+                double_pairs.append((a, a2, (u, v)))
+    e = sum(v * v for v in k.values()) - len(double_pairs)
+    idx = np.arange(n + 1)
+    c = {}
+    for a in elems:
+        c[a] = (
+            ((idx <= a - 1) & (a - idx >= 1) & (a != 2 * idx) & (idx >= 1)).astype(np.int64)
+            + ((idx + a <= n) & (idx != a) & (idx >= 1))
+            + ((idx - a >= 1) & (idx != 2 * a))
+        )
+    d2_same = max((v for v in k.values() if v > 0), default=0)
+    for a, a2, _ in double_pairs:
+        d2_same = max(d2_same, k[a] + k[a2] - 1)
+    m = np.zeros((n + 1, n + 1), dtype=np.int64)
+    for a in elems:
+        m += np.outer(c[a], c[a])
+    for _, _, q in double_pairs:
+        for x in q:
+            for z in q:
+                m[x, z] -= 1
+    d2_cross = int(m.max()) if e else 0
+    delta3 = 0
+    for a in elems:
+        if k[a] > 0:
+            delta3 = max(delta3, int(c[a].max()))
+    for a, a2, q in double_pairs:
+        vec = c[a] + c[a2]
+        for x in q:
+            vec[x] -= 1
+        delta3 = max(delta3, int(vec.max()))
+    return HAStats(e, 4 * e / (2 * n), max(d2_same, d2_cross), delta3, 1 if e else 0)
+
+
+def ref_density_witness(c: ContainerLike):
+    """claim48_density_witness's definition, one element at a time."""
+    _, r, b, _ = partition_by_container(c)
+    red, blue = set(r), set(b)
+    r_count = b_count = 0
+    for eta in range(1, c.n + 1):
+        r_count += eta in red
+        b_count += eta in blue
+        if eta >= (c.n + 1) // 2:
+            if 20 * r_count >= 9 * eta:
+                return eta, "R"
+            if 20 * b_count >= 9 * eta:
+                return eta, "B"
+    return None
 
 
 def oracle_edges(a_set: IntSet, n: int):
@@ -92,6 +160,37 @@ class TestStats:
 
     def test_empty(self):
         assert ha_stats_fast(IntSet(10), 10).edge_count == 0
+
+    def test_fast_matches_outer_product_reference(self):
+        rng = random.Random(45)
+        a = IntSet(2000, rng.sample(range(1, 2001), 45))
+        assert ha_stats_fast(a, 2000) == ref_ha_stats_fast(a, 2000)
+        for _ in range(60):
+            n = rng.randint(1, 150)
+            a = IntSet(n, rng.sample(range(1, n + 1), rng.randint(0, n)))
+            assert ha_stats_fast(a, n) == ref_ha_stats_fast(a, n)
+
+    def test_shared_pairs_across_row_blocks(self, monkeypatch):
+        # blocks of two rows: the shared pairs {u, v} of 7 > 5 > 3 > 1 put
+        # corrections on both sides of many block edges
+        monkeypatch.setattr(colouring_hypergraph, "HA_BLOCK_CELLS", 2 * 31)
+        a = IntSet(30, [1, 3, 5, 7, 9, 11, 13, 21, 29])
+        assert ha_stats_fast(a, 30) == ref_ha_stats_fast(a, 30)
+        rng = random.Random(46)
+        for _ in range(30):
+            n = rng.randint(5, 60)
+            a = IntSet(n, rng.sample(range(1, n + 1), rng.randint(1, n // 2)))
+            assert ha_stats_fast(a, n) == ref_ha_stats_fast(a, n)
+
+    def test_memory_is_bounded(self):
+        a = IntSet(2000, random.Random(7).sample(range(1, 2001), 45))
+        tracemalloc.start()
+        try:
+            ha_stats_fast(a, 2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
 
     def test_paper_inequalities(self):
         rng = random.Random(2)
@@ -216,6 +315,27 @@ class TestDensityWitness:
     def test_empty(self):
         c = ContainerLike(20, IntSet(20), IntSet(20))
         assert claim48_density_witness(c) is None
+
+    @settings(max_examples=200)
+    @given(
+        st.integers(1, 60).flatmap(
+            lambda n: st.tuples(st.just(n), st.sets(st.integers(1, n)), st.sets(st.integers(1, n)))
+        )
+    )
+    def test_matches_per_element_definition(self, case):
+        n, red, blue = case
+        c = ContainerLike(n, IntSet(n, red), IntSet(n, blue))
+        assert claim48_density_witness(c) == ref_density_witness(c)
+
+    def test_large_container(self):
+        n = 2 * 10**5
+        rng = random.Random(48)
+        for red, blue in (
+            (range(1, n + 1, 2), range(2, n + 1, 2)),
+            ((x for x in range(1, n + 1) if rng.random() < 0.44), (x for x in range(1, n + 1) if rng.random() < 0.46)),
+        ):
+            c = ContainerLike(n, IntSet(n, red), IntSet(n, blue))
+            assert claim48_density_witness(c) == ref_density_witness(c)
 
     def test_odd_red(self):
         n = 100

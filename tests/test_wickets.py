@@ -1,5 +1,7 @@
 import random
+from functools import lru_cache
 
+import numpy as np
 import pytest
 
 from schurperturb.intset import IntSet
@@ -45,6 +47,32 @@ def oracle_count(s: IntSet, chi: IntSet | None = None) -> int:
                             continue
                         total += 1
     return total
+
+
+@lru_cache(maxsize=None)
+def wicket_entry_masks(n: int) -> np.ndarray:
+    """The entry set of every ordered wicket in [n], as bitmasks: per
+    (x1, x2), all triples of legs {y, y + x_i} avoiding the x's, kept when
+    pairwise disjoint (the enumeration of bench/oracle.py)."""
+    out = []
+    for x1 in range(1, n + 1):
+        for x2 in range(1, n + 1 - x1):
+            if x1 == x2:
+                continue
+            xs = (1 << x1) | (1 << x2) | (1 << (x1 + x2))
+            legs = []
+            for x in (x1, x2, x1 + x2):
+                masks = [(1 << y) | (1 << (y + x)) for y in range(1, n - x + 1)]
+                legs.append(np.array([m for m in masks if not m & xs], dtype=np.uint64))
+            l1, l2, l3 = legs[0][:, None, None], legs[1][None, :, None], legs[2][None, None, :]
+            ok = ((l1 & l2) == 0) & ((l1 & l3) == 0) & ((l2 & l3) == 0)
+            out.append((l1 | l2 | l3)[ok] | np.uint64(xs))
+    return np.concatenate(out) if out else np.zeros(0, dtype=np.uint64)
+
+
+def enumerated_containing(u, n: int) -> int:
+    um = np.uint64(sum(1 << v for v in set(u)))
+    return int(np.count_nonzero(wicket_entry_masks(n) & um == um))
 
 
 class TestIsWicket:
@@ -93,8 +121,11 @@ class TestCountWickets:
             assert count_wickets(s, chi) == oracle_count(s, chi)
 
     def test_chi_must_be_subset(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="chi must be a subset of s"):
             count_wickets(IntSet(10, [1, 2, 3]), IntSet(10, [4]))
+        with pytest.raises(ValueError, match="chi must be a subset of s"):
+            count_wickets(IntSet(10, [1, 2, 3]), IntSet(12, [1, 12]))
+        assert count_wickets(IntSet.full(14), IntSet.full(14)) == count_wickets(IntSet.full(14))
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):
@@ -127,6 +158,25 @@ class TestCountContaining:
                 1 for w in iter_wickets(IntSet.full(n)) if set(u) <= set(w)
             )
             assert count_wickets_containing(u, n) == want
+
+    def test_enumeration_every_size(self):
+        rng = random.Random(24)
+        for n in (12, 17, 24):
+            for size in range(1, 10):
+                for _ in range(4):
+                    u = rng.sample(range(1, n + 1), size)
+                    assert count_wickets_containing(u, n) == enumerated_containing(u, n)
+        # a whole wicket, and its subsets of each size
+        w = (1, 9, 10, 2, 11, 13, 3, 4, 7)
+        for size in range(1, 10):
+            u = list(w[:size])
+            assert count_wickets_containing(u, 13) == enumerated_containing(u, 13) >= 1
+
+    def test_singletons_sum_to_nine_counts(self):
+        n = 20
+        counts = [count_wickets_containing([v], n) for v in range(1, n + 1)]
+        assert counts == [enumerated_containing([v], n) for v in range(1, n + 1)]
+        assert sum(counts) == 9 * count_wickets(IntSet.full(n))
 
     def test_empty_u_rejected(self):
         with pytest.raises(ValueError):
