@@ -25,8 +25,10 @@ from .intset import IntSet, indicator
 
 FACT9 = math.factorial(9)
 
-# Cells (rows x (n + 1)) of one batch of (x1, x2) rows.
+# Cells (rows x (n + 1)) of one batch of (x1, x2) rows, and the number of
+# (row, leg split) items count_wickets_containing evaluates at once.
 BATCH_CELLS = 1 << 18
+ITEM_BATCH = 1 << 16
 
 
 def is_wicket(entries, n: int) -> bool:
@@ -208,9 +210,10 @@ def count_wickets_containing(u, n: int) -> int:
     {a} is leg i as {a, a + x_i} or {a - x_i, a}, and the legs with no group
     are counted on the elements left free. Each group's splits are listed
     once; a split whose forced differences match no row is skipped before
-    any leg is built, and the rest are evaluated on all their rows at once.
-    Time O(n^2 (n + |u|) + sum over splits of their rows times n), memory
-    O(BATCH_CELLS).
+    any leg is built. Every other split gives one item per row it can use,
+    and the items with the same free legs are evaluated together. Time
+    O(n^2 (n + |u|) + (items with a free leg) * n), memory
+    O(n^2 + ITEM_BATCH + BATCH_CELLS).
     """
     u_set = set(u)
     if not u_set:
@@ -270,7 +273,11 @@ def _rows_by_value(x: np.ndarray) -> dict[int, frozenset[int]]:
 
 def _count_required(x1: np.ndarray, x2: np.ndarray, u_rest: list[int], n: int) -> int:
     """Sum over the rows (x1, x2) of the wickets through them whose legs
-    cover u_rest, an ascending list disjoint from every row's x's."""
+    cover u_rest, an ascending list disjoint from every row's x's.
+
+    Every split of u_rest, with each 1-element group at either end of its
+    leg, becomes one item per row it can use. Items with the same legs
+    left free are evaluated together, at most ITEM_BATCH at a time."""
     xleg = (x1, x2, x1 + x2)
     if not u_rest:
         return sum(
@@ -278,47 +285,63 @@ def _count_required(x1: np.ndarray, x2: np.ndarray, u_rest: list[int], n: int) -
             for b in _batches(len(x1), n)
         )
     rest = np.array(u_rest)
-    # in_rest[n + e] tells whether e is in u_rest, for e in [-n, 2n]
-    in_rest = np.zeros(3 * n + 1, dtype=bool)
-    in_rest[n + rest] = True
     by_diff = [_rows_by_value(xl) for xl in xleg]
     total = 0
+    pending: dict[tuple[int, ...], list] = {}
+    sizes: dict[tuple[int, ...], int] = {}
     for groups, rows in _leg_splits(u_rest, by_diff):
-        if rows is None:
-            xr = list(xleg)
+        idx = np.arange(len(x1)) if rows is None else np.array(sorted(rows))
+        free = tuple(i for i, g in enumerate(groups) if not g)
+        fixed = [g for g in groups if g]
+        for ends in product((0, 1), repeat=len(fixed)):
+            if any(e and len(g) == 2 for g, e in zip(fixed, ends)):
+                continue  # a 2-element group is its leg, least element first
+            pending.setdefault(free, []).append((idx, [v for g, e in zip(fixed, ends) for v in (len(g), g[0], e)]))
+            sizes[free] = sizes.get(free, 0) + len(idx)
+            if sizes[free] >= ITEM_BATCH:
+                total += _count_items(xleg, free, pending.pop(free), rest, n)
+                sizes[free] = 0
+    for free, items in pending.items():
+        total += _count_items(xleg, free, items, rest, n)
+    return total
+
+
+def _count_items(xleg, free: tuple[int, ...], items, rest: np.ndarray, n: int) -> int:
+    """Wickets over (row indices, fixed-leg template) items whose legs in
+    free have no element of rest. Fixed leg k of a template holds g_k
+    elements of rest, the least a_k at end e_k: it is the pair {lo, lo + x}
+    with lo = a_k - e_k x, which must lie in [1, n], avoid the row's x's
+    and contain exactly g_k elements of rest. Fixed legs are pairwise
+    disjoint, and the free legs are counted on the elements left over."""
+    r = np.concatenate([idx for idx, _ in items])
+    tmpl = np.repeat(np.array([legs for _, legs in items]), [len(idx) for idx, _ in items], axis=0)
+    x = [xl[r] for xl in xleg]
+    # in_rest[n + e] = 1 iff e is in rest, for e in [-n, 2n]
+    in_rest = np.zeros(3 * n + 1, dtype=np.int8)
+    in_rest[n + rest] = 1
+    ok = np.ones(len(r), dtype=bool)
+    ends = []
+    for k, i in enumerate(i for i in range(3) if i not in free):
+        g, a, e = tmpl[:, 3 * k], tmpl[:, 3 * k + 1], tmpl[:, 3 * k + 2]
+        lo = a - e * x[i]
+        hi = lo + x[i]
+        ok &= (lo >= 1) & (hi <= n) & (in_rest[n + lo] + in_rest[n + hi] == g)
+        for xj in x:
+            ok &= (lo != xj) & (hi != xj)
+        for lo_m, hi_m in ends:
+            ok &= (lo != lo_m) & (lo != hi_m) & (hi != lo_m) & (hi != hi_m)
+        ends.append((lo, hi))
+    if not free:
+        return int(np.count_nonzero(ok))
+    cols = [arr[ok] for arr in x] + [arr[ok] for leg in ends for arr in leg]
+    total = 0
+    for b in _batches(len(cols[0]), n):
+        t = _open_rows(n, [c[b] for c in cols])
+        t[:, rest] = False
+        if len(free) == 1:
+            total += int(_legs(t, cols[free[0]][b]).sum())
         else:
-            idx = np.array(sorted(rows))
-            xr = [xl[idx] for xl in xleg]
-        singles = [(i, g[0]) for i, g in enumerate(groups) if len(g) == 1]
-        doubles = [(i, g) for i, g in enumerate(groups) if len(g) == 2]
-        free = [i for i, g in enumerate(groups) if not g]
-        # each single is the smaller (y) or larger (z) end of its leg
-        for ends in product((0, 1), repeat=len(singles)):
-            ok = np.ones(len(xr[0]), dtype=bool)
-            fixed = [(np.full(len(ok), g[0]), np.full(len(ok), g[1])) for _, g in doubles]
-            for (i, a), end in zip(singles, ends):
-                lo = a - end * xr[i]
-                hi = lo + xr[i]
-                other = hi if end == 0 else lo
-                ok &= (lo >= 1) & (hi <= n) & ~in_rest[n + other]
-                ok &= (other != xr[0]) & (other != xr[1]) & (other != xr[2])
-                fixed.append((lo, hi))
-            for k, (lo_k, hi_k) in enumerate(fixed):
-                for lo_m, hi_m in fixed[:k]:
-                    ok &= (lo_k != lo_m) & (lo_k != hi_m) & (hi_k != lo_m) & (hi_k != hi_m)
-            if not free:
-                total += int(np.count_nonzero(ok))
-                continue
-            sel = [x[ok] for x in xr]
-            ends_used = [arr[ok] for leg in fixed for arr in leg]
-            for b in _batches(len(sel[0]), n):
-                removed = [x[b] for x in sel] + [arr[b] for arr in ends_used]
-                t = _open_rows(n, removed)
-                t[:, rest] = False
-                if len(free) == 1:
-                    total += int(_legs(t, sel[free[0]][b]).sum())
-                else:
-                    total += int(_two_leg_disjoint(sel[free[0]][b], sel[free[1]][b], t).sum())
+            total += int(_two_leg_disjoint(cols[free[0]][b], cols[free[1]][b], t).sum())
     return total
 
 

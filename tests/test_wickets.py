@@ -4,6 +4,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+from schurperturb import wickets
 from schurperturb.intset import IntSet
 from schurperturb.wickets import (
     claim_extension_bound,
@@ -171,6 +172,17 @@ class TestCountContaining:
         for size in range(1, 10):
             u = list(w[:size])
             assert count_wickets_containing(u, 13) == enumerated_containing(u, 13) >= 1
+
+    def test_small_batches(self, monkeypatch):
+        # batches of one or a few rows and items give the same counts
+        rng = random.Random(25)
+        cases = [rng.sample(range(1, 18), size) for size in range(1, 8)]
+        want = [enumerated_containing(u, 17) for u in cases]
+        full = count_wickets(IntSet.full(17))
+        monkeypatch.setattr(wickets, "BATCH_CELLS", 40)
+        monkeypatch.setattr(wickets, "ITEM_BATCH", 5)
+        assert [count_wickets_containing(u, 17) for u in cases] == want
+        assert count_wickets(IntSet.full(17)) == full
 
     def test_singletons_sum_to_nine_counts(self):
         n = 20
