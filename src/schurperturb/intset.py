@@ -193,8 +193,9 @@ def is_sum_free(s: IntSet) -> bool:
 
     Time O(m^2 L log L) with m = ceil((max s + 1) / L) blocks, i.e.
     O(n log n) up to n = FFT_BLOCK (on a 2-core x86 machine: 17 ms at
-    n = 10^5, 1.8 s for the odd numbers below 2^22). Memory: the indicator (max s bytes) plus at most
-    FFT_MEMORY_CAP = 32 MiB of transforms, whatever n is.
+    n = 10^5, 1.8 s for the odd numbers below 2^22). Memory: the
+    indicator (max s bytes) plus at most FFT_MEMORY_CAP = 32 MiB of
+    transforms, whatever n is.
     """
     ind = indicator(s)
     if not ind.any():

@@ -286,17 +286,19 @@ def _count_required(x1: np.ndarray, x2: np.ndarray, u_rest: list[int], n: int) -
         )
     rest = np.array(u_rest)
     by_diff = [_rows_by_value(xl) for xl in xleg]
+    all_rows = np.arange(len(x1))
     total = 0
     pending: dict[tuple[int, ...], list] = {}
     sizes: dict[tuple[int, ...], int] = {}
     for groups, rows in _leg_splits(u_rest, by_diff):
-        idx = np.arange(len(x1)) if rows is None else np.array(sorted(rows))
+        idx = all_rows if rows is None else np.array(sorted(rows))
         free = tuple(i for i, g in enumerate(groups) if not g)
         fixed = [g for g in groups if g]
         for ends in product((0, 1), repeat=len(fixed)):
             if any(e and len(g) == 2 for g, e in zip(fixed, ends)):
                 continue  # a 2-element group is its leg, least element first
-            pending.setdefault(free, []).append((idx, [v for g, e in zip(fixed, ends) for v in (len(g), g[0], e)]))
+            template = [v for g, e in zip(fixed, ends) for v in (len(g), g[0], e)]
+            pending.setdefault(free, []).append((idx, template))
             sizes[free] = sizes.get(free, 0) + len(idx)
             if sizes[free] >= ITEM_BATCH:
                 total += _count_items(xleg, free, pending.pop(free), rest, n)

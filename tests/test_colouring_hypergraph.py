@@ -332,7 +332,10 @@ class TestDensityWitness:
         rng = random.Random(48)
         for red, blue in (
             (range(1, n + 1, 2), range(2, n + 1, 2)),
-            ((x for x in range(1, n + 1) if rng.random() < 0.44), (x for x in range(1, n + 1) if rng.random() < 0.46)),
+            (
+                (x for x in range(1, n + 1) if rng.random() < 0.44),
+                (x for x in range(1, n + 1) if rng.random() < 0.46),
+            ),
         ):
             c = ContainerLike(n, IntSet(n, red), IntSet(n, blue))
             assert claim48_density_witness(c) == ref_density_witness(c)
