@@ -18,6 +18,16 @@ colours (propagation included) and later uncolours.
 `nodes_explored` counts colour trials, one per colour tried at a branch
 element; `budget` is checked before each trial, so a budget of k allows
 exactly k trials.
+
+Each coloured element records the edge that forced it. A search that ends
+NOT_COLOURABLE also returns an unsat core: the union of its conflict cones,
+each the conflict edge plus, transitively, the forcing edges of its
+coloured elements. `minimal_obstruction` deletes edges in descending order
+as the plain deletion loop does and returns the same obstruction, but
+drops an edge outside the latest core without a search and keeps, without
+a search, every edge that model rotation of a colourable witness proves
+necessary. Its budget applies to each search that runs; a skipped deletion
+never searches, so it never uses budget.
 """
 
 from __future__ import annotations
@@ -121,18 +131,26 @@ def _search(
     allowed: list[tuple[int, ...]],
     edges: list[tuple[int, ...]],
     budget: int,
-) -> tuple[Status, list[int], int]:
+) -> tuple[Status, list[int], int, list[int]]:
     """Explicit-stack search over vertex indices 0..V-1, V = len(allowed).
 
-    Returns (status, colour code per vertex or -1 if uncoloured, nodes).
-    Each edge keeps how many of its vertices are coloured 0 and 1. key[v]
-    is the number of v's incident edges not yet bichromatic, lowered by
-    `coloured` while v is coloured, so the branch vertex (most unresolved
+    Returns (status, colour code per vertex or -1 if uncoloured, nodes,
+    core). Each edge keeps how many of its vertices are coloured 0 and 1.
+    key[v] is the number of v's incident edges not yet bichromatic, lowered
+    by `coloured` while v is coloured, so the branch vertex (most unresolved
     edges, smallest index on ties) is the first maximum of key.
+
+    reason[v] is the edge that forced v's colour, -1 for a decision or a
+    constraint seed. Every conflict marks its conflict cone: the conflict
+    edge and, transitively, the reasons of its coloured vertices (visited
+    once per conflict). The core is the sorted indices of every marked edge
+    when the status is NOT_COLOURABLE, else empty. The search tree refutes
+    each decision path by propagation over its cone alone, so the core with
+    the allowed colours is itself uncolourable.
     """
     n_vertices = len(allowed)
     if not all(allowed):
-        return Status.NOT_COLOURABLE, [], 0
+        return Status.NOT_COLOURABLE, [], 0, []
     incident: list[list[int]] = [[] for _ in range(n_vertices)]
     for i, edge in enumerate(edges):
         for v in edge:
@@ -143,18 +161,47 @@ def _search(
     coloured = len(edges) + 1  # above any vertex degree
     key = [len(inc) for inc in incident]
     trail: list[int] = []
+    reason = [-1] * n_vertices
+    marked = [False] * len(edges)
+    seen = [0] * n_vertices  # conflict stamp of the last cone walk through v
+    stamp = 0
 
-    def propagate(pending: list[tuple[int, int]]) -> bool:
-        """Colour each pending (vertex, code) and all it forces; False on a
-        monochromatic edge or a forced colour the vertex does not allow.
-        Every vertex on the trail has all its edge counts applied."""
-        ok = True
-        while ok and pending:
-            v, c = pending.pop()
+    def explain(i: int, roots) -> None:
+        """Mark edge i (if >= 0) and the reason cone of the coloured roots."""
+        nonlocal stamp
+        stamp += 1
+        if i >= 0:
+            marked[i] = True
+        todo = [u for u in roots if colour[u] >= 0]
+        while todo:
+            u = todo.pop()
+            if seen[u] == stamp:
+                continue
+            seen[u] = stamp
+            r = reason[u]
+            if r >= 0:  # its other vertices were coloured before u
+                marked[r] = True
+                todo.extend(edges[r])
+
+    def propagate(pending: list[tuple[int, int, int]]) -> bool:
+        """Colour each pending (vertex, code, reason) and all it forces;
+        False, with the conflict explained, on a monochromatic edge, a
+        forced colour the vertex does not allow, or two opposite colours for
+        one vertex. Every vertex on the trail has all its edge counts
+        applied."""
+        conflict = -1
+        while pending:
+            v, c, r = pending.pop()
             if colour[v] >= 0:
-                ok = colour[v] == c
+                # a guard, never true: a force against a seed is not
+                # allowed, and colouring v against edge r's force made r
+                # monochromatic, a conflict that returned first
+                if colour[v] != c:
+                    explain(r, [v] if r < 0 else edges[r])
+                    return False
                 continue
             colour[v] = c
+            reason[v] = r
             trail.append(v)
             key[v] -= coloured
             same, other = count[c], count[c ^ 1]
@@ -165,16 +212,20 @@ def _search(
                         for u in edges[i]:
                             key[u] -= 1
                 elif k == size[i]:
-                    ok = False  # monochromatic
-                elif k == size[i] - 1 and ok:
+                    if conflict < 0:
+                        conflict = i  # monochromatic
+                elif k == size[i] - 1 and conflict < 0:
                     for u in edges[i]:
                         if colour[u] < 0:
                             break  # the one uncoloured vertex
                     if c ^ 1 in allowed[u]:
-                        pending.append((u, c ^ 1))
+                        pending.append((u, c ^ 1, i))
                     else:
-                        ok = False
-        return ok
+                        conflict = i
+            if conflict >= 0:
+                explain(conflict, edges[conflict])
+                return False
+        return True
 
     def undo(mark: int) -> None:
         while len(trail) > mark:
@@ -194,14 +245,18 @@ def _search(
         best = max(key, default=0)
         return key.index(best) if best > 0 else -1
 
-    seeds = [(v, a[0]) for v, a in enumerate(allowed) if len(a) == 1]
+    def refuted(nodes: int) -> tuple[Status, list[int], int, list[int]]:
+        core = [i for i, m in enumerate(marked) if m]
+        return Status.NOT_COLOURABLE, colour, nodes, core
+
+    seeds = [(v, a[0], -1) for v, a in enumerate(allowed) if len(a) == 1]
     if not propagate(seeds[::-1]):
-        return Status.NOT_COLOURABLE, colour, 0
+        return refuted(0)
 
     nodes = 0
     v = pick_branch_var()
     if v < 0:
-        return Status.COLOURABLE, colour, nodes
+        return Status.COLOURABLE, colour, nodes, []
     stack = [[v, 0, len(trail)]]  # frames: vertex, next colour position, trail mark
     while stack:
         frame = stack[-1]
@@ -212,17 +267,17 @@ def _search(
                 undo(stack[-1][2])  # the parent's colour failed too
             continue
         if nodes >= budget:
-            return Status.BUDGET_EXCEEDED, colour, nodes
+            return Status.BUDGET_EXCEEDED, colour, nodes, []
         nodes += 1
         frame[1] = pos + 1
-        if propagate([(v, allowed[v][pos])]):
+        if propagate([(v, allowed[v][pos], -1)]):
             v = pick_branch_var()
             if v < 0:
-                return Status.COLOURABLE, colour, nodes
+                return Status.COLOURABLE, colour, nodes, []
             stack.append([v, 0, len(trail)])
         else:
             undo(mark)
-    return Status.NOT_COLOURABLE, colour, nodes
+    return refuted(nodes)
 
 
 def _solve_edges(
@@ -234,7 +289,7 @@ def _solve_edges(
     """Core search over an explicit edge list on the elements elems."""
     index, allowed = _index(elems, constraints)
     mapped = [tuple(map(index.__getitem__, edge)) for edge in edges]
-    status, colour, nodes = _search(allowed, mapped, budget)
+    status, colour, nodes, _ = _search(allowed, mapped, budget)
     if status is not Status.COLOURABLE:
         return SolveOutcome(status, None, nodes)
     # unconstrained isolated leftovers take their first allowed colour
@@ -294,32 +349,94 @@ def minimal_obstruction(
 ) -> ObstructionResult:
     """Edge-minimal uncolourable sub-hypergraph, by deletion in descending
     lexicographic order; None hypergraph when the instance is colourable.
-    The element index and the index-mapped edges are built once, and each
-    deletion trial is one search over the edges still kept."""
+
+    The result is that of the plain loop which, for each edge in that
+    order, searches the kept edges (in hosting order) without it and drops
+    it when they stay uncolourable. Deletions whose answer is already known
+    are not searched:
+    - core-guided: an edge outside the latest unsat core (the conflict cone
+      of the last NOT_COLOURABLE search) is dropped, since the core stays
+      inside the kept edges without it;
+    - model rotation (Belov & Marques-Silva 2011): a COLOURABLE search
+      proves its edge necessary; flipping one vertex of that edge in the
+      witness that leaves exactly one other kept edge monochromatic proves
+      that edge necessary too, recursively. A necessary edge is kept with
+      no search, as every later kept set is smaller.
+    `budget` applies to each search that runs, and `nodes_explored` sums
+    their nodes; a skipped deletion never searches, so it uses no budget.
+    """
+    if budget < 0:
+        raise ValueError("budget must be >= 0")
     if constraints is None:
         constraints = ColourConstraint.free()
     elems = s.elements()
     index, allowed = _index(elems, constraints)
     edges = hosting_sets(s)
-    mapped = {edge: tuple(map(index.__getitem__, edge)) for edge in edges}
-    total_nodes = 0
-
-    status, _, nodes = _search(allowed, list(mapped.values()), budget)
-    total_nodes += nodes
+    mapped = [tuple(map(index.__getitem__, edge)) for edge in edges]
+    status, _, total_nodes, core = _search(allowed, mapped, budget)
     if status is not Status.NOT_COLOURABLE:
         return ObstructionResult(status, None, total_nodes)
 
-    current = list(edges)
-    for edge in sorted(edges, reverse=True):
-        trial = [e for e in current if e != edge]
-        status, _, nodes = _search(allowed, [mapped[e] for e in trial], budget)
-        total_nodes += nodes
-        if status is Status.BUDGET_EXCEEDED:
-            return ObstructionResult(Status.BUDGET_EXCEEDED, None, total_nodes)
-        if status is Status.NOT_COLOURABLE:
-            current = trial
-    hg = HostingHypergraph(n=s.n, vertices=s, edges=current)
+    kept = [True] * len(edges)
+    necessary = [False] * len(edges)
+    in_core = set(core)
+    incident: list[list[int]] = [[] for _ in elems]
+    for i, edge in enumerate(mapped):
+        for v in edge:
+            incident[v].append(i)
+    for e in sorted(range(len(edges)), key=edges.__getitem__, reverse=True):
+        if e not in in_core:
+            kept[e] = False
+        elif not necessary[e]:
+            ids = [i for i, k in enumerate(kept) if k and i != e]
+            status, colour, nodes, core = _search(
+                allowed, [mapped[i] for i in ids], budget
+            )
+            total_nodes += nodes
+            if status is Status.BUDGET_EXCEEDED:
+                return ObstructionResult(status, None, total_nodes)
+            if status is Status.NOT_COLOURABLE:
+                kept[e] = False
+                in_core = {ids[j] for j in core}
+            else:
+                necessary[e] = True
+                _rotate(e, colour, allowed, mapped, incident, kept, necessary)
+    hg = HostingHypergraph(
+        n=s.n, vertices=s, edges=[edge for edge, k in zip(edges, kept) if k]
+    )
     return ObstructionResult(Status.NOT_COLOURABLE, hg, total_nodes)
+
+
+def _rotate(
+    e: int,
+    colour: list[int],
+    allowed: list[tuple[int, ...]],
+    mapped: list[tuple[int, ...]],
+    incident: list[list[int]],
+    kept: list[bool],
+    necessary: list[bool],
+) -> None:
+    """Recursive model rotation from necessary edge e, whose search witness
+    colour (-1 for free vertices) colours every kept edge but e properly.
+    Marks in `necessary` every edge the rotations prove necessary."""
+    colour = [c if c >= 0 else allowed[v][0] for v, c in enumerate(colour)]
+    todo = [(e, colour)]  # (the one monochromatic kept edge, its colouring)
+    while todo:
+        e, colour = todo.pop()
+        for v in mapped[e]:
+            c = colour[v] ^ 1
+            if c not in allowed[v]:
+                continue
+            broken = [
+                f
+                for f in incident[v]
+                if f != e and kept[f] and all(colour[u] == c for u in mapped[f] if u != v)
+            ]
+            if len(broken) == 1 and not necessary[broken[0]]:
+                necessary[broken[0]] = True
+                flipped = colour.copy()
+                flipped[v] = c
+                todo.append((broken[0], flipped))
 
 
 @dataclass

@@ -128,6 +128,19 @@ class TestObstruction:
         assert data["status"] == "not_colourable"
         assert data["edges"]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("obstruction", "construct:sparse:200,14", "5,10", "--n", "200"),
+            ("check-schur", "1-5"),
+        ],
+    )
+    def test_negative_budget(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--budget", "-1")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.strip() == "error: budget must be >= 0"
+
 
 class TestWickets:
     def test_count(self, capsys):

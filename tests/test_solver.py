@@ -1,7 +1,10 @@
 import hashlib
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schurperturb.constructions import construct_by_name
 from schurperturb.intset import IntSet, hosting_sets, is_sum_free
@@ -18,6 +21,8 @@ from schurperturb.solver import (
     find_loose_cycle,
     find_schur_colouring,
     is_schur,
+    _rotate,
+    _search,
     _solve_edges,
     minimal_obstruction,
     validate_colouring,
@@ -129,6 +134,10 @@ class TestMinimalObstruction:
     def test_budget_propagates(self):
         res = minimal_obstruction(IntSet(14, range(1, 15)), budget=3)
         assert res.status is Status.BUDGET_EXCEEDED
+
+    def test_budget_negative(self):
+        with pytest.raises(ValueError, match="budget must be >= 0"):
+            minimal_obstruction(IntSet(5, range(1, 6)), budget=-1)
 
 
 class TestHminProperties:
@@ -252,14 +261,16 @@ PINNED_TREES = [
     (("full", 13, 0, 1), ("budget_exceeded", 1, None)),
 ]
 
-# sparse:200,14 forced blue at 2 th, trial -> (nodes_explored, edges)
+# sparse:200,14 forced blue at 2 th, trial -> (nodes_explored, edges); the
+# edges were recorded with the recursive solver, the node counts (searches
+# that run only) with the core-guided deletion
 PINNED_OBSTRUCTIONS = {
-    0: (12, [(6, 12), (6, 187, 193), (12, 187, 199)]),
-    2: (268, [(4, 61, 65), (4, 129, 133), (4, 187, 191), (61, 129, 190),
+    0: (11, [(6, 12), (6, 187, 193), (12, 187, 199)]),
+    2: (39, [(4, 61, 65), (4, 129, 133), (4, 187, 191), (61, 129, 190),
               (61, 133, 194), (65, 129, 194), (65, 133, 198)]),
-    5: (18, [(9, 83, 92), (9, 97, 106), (9, 187, 196), (83, 106, 189),
+    5: (11, [(9, 83, 92), (9, 97, 106), (9, 187, 196), (83, 106, 189),
              (92, 106, 198), (97, 194)]),
-    6: (779, [(7, 22, 29), (7, 46, 53), (7, 50, 57), (7, 74, 81), (7, 187, 194),
+    6: (347, [(7, 22, 29), (7, 46, 53), (7, 50, 57), (7, 74, 81), (7, 187, 194),
               (22, 23, 45), (22, 28, 50), (22, 177, 199), (23, 46), (23, 130, 153),
               (28, 29, 57), (28, 46, 74), (28, 53, 81), (29, 45, 74), (29, 53, 82),
               (29, 101, 130), (29, 171, 200), (37, 45, 82), (37, 74), (45, 132, 177),
@@ -291,3 +302,177 @@ class TestPinnedSearchTree:
         res = minimal_obstruction(s, constraints)
         assert res.status is Status.NOT_COLOURABLE
         assert (res.nodes_explored, res.hypergraph.edges) == PINNED_OBSTRUCTIONS[trial]
+
+
+def reference_obstruction(s: IntSet, constraints=None, budget: int = 10**7):
+    """The plain deletion loop that the core-guided one replaced: for each
+    hosting edge in descending order, search the kept edges without it and
+    drop it when they stay uncolourable. (status, edges or None, nodes)."""
+    if constraints is None:
+        constraints = ColourConstraint.free()
+    elems, edges = s.elements(), hosting_sets(s)
+    out = _solve_edges(elems, edges, constraints, budget)
+    nodes = out.nodes_explored
+    if out.status is not Status.NOT_COLOURABLE:
+        return out.status, None, nodes
+    current = list(edges)
+    for edge in sorted(edges, reverse=True):
+        trial = [e for e in current if e != edge]
+        out = _solve_edges(elems, trial, constraints, budget)
+        nodes += out.nodes_explored
+        if out.status is Status.BUDGET_EXCEEDED:
+            return out.status, None, nodes
+        if out.status is Status.NOT_COLOURABLE:
+            current = trial
+    return Status.NOT_COLOURABLE, current, nodes
+
+
+def _obstruction(s: IntSet, constraints=None, budget: int = 10**7):
+    res = minimal_obstruction(s, constraints, budget)
+    edges = res.hypergraph.edges if res.hypergraph else None
+    return res.status, edges, res.nodes_explored
+
+
+# sparse:200,14 forced blue at x th (trials 0..5 of seed 1), and [k]
+DIFF_CORPUS = [("sparse", x, t) for x in (2.0, 3.0, 4.0) for t in range(6)] + [
+    ("full", k, 0) for k in range(5, 16)
+]
+
+
+class TestObstructionAgainstReference:
+    """Core-guided deletion with model rotation returns the plain loop's
+    status and edge list, and never searches more."""
+
+    @pytest.mark.parametrize("case", DIFF_CORPUS)
+    def test_same_obstruction(self, case):
+        s, constraints = _pinned_instance(*case)
+        status, edges, nodes = _obstruction(s, constraints)
+        ref_status, ref_edges, ref_nodes = reference_obstruction(s, constraints)
+        assert (status, edges) == (ref_status, ref_edges)
+        assert nodes <= ref_nodes
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(3, 16).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.sets(st.integers(1, n), min_size=1),
+                st.dictionaries(st.integers(1, n), st.sampled_from([RED, BLUE]), max_size=4),
+            )
+        )
+    )
+    def test_small_sets_with_forced_colours(self, args):
+        n, elems, forced = args
+        s = IntSet(n, elems)
+        constraints = ColourConstraint({e: frozenset(c) for e, c in forced.items()})
+        status, edges, nodes = _obstruction(s, constraints)
+        ref_status, ref_edges, ref_nodes = reference_obstruction(s, constraints)
+        assert (status, edges) == (ref_status, ref_edges)
+        assert nodes <= ref_nodes
+
+    @pytest.mark.parametrize("case", DIFF_CORPUS[::2])
+    def test_budgets(self, case):
+        """A skipped deletion uses no budget, so the change runs out only
+        where the plain loop does; where only the plain loop runs out, the
+        change returns the unbudgeted obstruction."""
+        s, constraints = _pinned_instance(*case)
+        unbudgeted = _obstruction(s, constraints)[:2]
+        for budget in range(1, 22):
+            status, edges, _ = _obstruction(s, constraints, budget)
+            ref_status, ref_edges, _ = reference_obstruction(s, constraints, budget)
+            if ref_status is Status.BUDGET_EXCEEDED:
+                assert status is Status.BUDGET_EXCEEDED or (status, edges) == unbudgeted
+            else:
+                assert (status, edges) == (ref_status, ref_edges) == unbudgeted
+
+
+def _colourable(allowed, edges) -> bool:
+    """Exhaustive: some colouring within allowed leaves no edge monochromatic."""
+    return any(
+        all(c in a for c, a in zip(colour, allowed))
+        and all(len({colour[v] for v in edge}) == 2 for edge in edges)
+        for colour in itertools.product((0, 1), repeat=len(allowed))
+    )
+
+
+ALLOWED_CHOICES = ((0, 1),) * 6 + ((0,), (0,), (1,))
+
+
+def _random_instance(rng: random.Random):
+    """Up to 9 vertices, 2- and 3-edges, and some vertices with one allowed
+    colour (code 0 is blue, as with force_blue) or none."""
+    n_vertices = rng.randint(2, 9)
+    edges = sorted(
+        {
+            tuple(sorted(rng.sample(range(n_vertices), min(k, n_vertices))))
+            for k in rng.choices((2, 3), k=rng.randint(1, 14))
+        }
+    )
+    allowed = [rng.choice(ALLOWED_CHOICES) for _ in range(n_vertices)]
+    if rng.random() < 0.02:
+        allowed[rng.randrange(n_vertices)] = ()
+    return allowed, edges
+
+
+class TestCoreAndRotation:
+    """The unsat core of the search is uncolourable, and every edge that
+    model rotation marks necessary leaves a colourable set when deleted."""
+
+    def test_monochromatic_conflict_core(self):
+        # an odd cycle of 2-edges fails on a monochromatic edge; the pendant
+        # edge (2, 3) is forced but takes no part in any conflict
+        allowed = [(0, 1)] * 4
+        edges = [(0, 1), (0, 2), (1, 2), (2, 3)]
+        status, _, _, core = _search(allowed, edges, 100)
+        assert status is Status.NOT_COLOURABLE
+        assert core == [0, 1, 2]
+
+    def test_disallowed_force_core(self):
+        # 0 and 1 blue force 2 red, which it does not allow; (0, 3) forces 3
+        allowed = [(0,), (0,), (0,), (0, 1)]
+        edges = [(0, 3), (0, 1, 2)]
+        status, _, nodes, core = _search(allowed, edges, 100)
+        assert (status, nodes, core) == (Status.NOT_COLOURABLE, 0, [1])
+
+    def test_empty_allowed_core(self):
+        status, _, _, core = _search([(0, 1), ()], [(0, 1)], 100)
+        assert (status, core) == (Status.NOT_COLOURABLE, [])
+
+    def test_random_cores_uncolourable(self):
+        rng = random.Random(7)
+        refuted = 0
+        for _ in range(1500):
+            allowed, edges = _random_instance(rng)
+            status, _, _, core = _search(allowed, edges, 10**6)
+            assert status is (Status.COLOURABLE if _colourable(allowed, edges) else Status.NOT_COLOURABLE)
+            if status is Status.NOT_COLOURABLE:
+                refuted += 1
+                assert core == sorted(set(core))
+                assert not _colourable(allowed, [edges[i] for i in core])
+        assert refuted > 300
+
+    def test_random_rotation_marks_necessary_edges(self):
+        rng = random.Random(8)
+        marked_total = 0
+        for _ in range(1500):
+            allowed, edges = _random_instance(rng)
+            kept = [rng.random() < 0.8 for _ in edges]
+            kept_edges = [edge for edge, k in zip(edges, kept) if k]
+            if not all(allowed) or _colourable(allowed, kept_edges):
+                continue
+            incident = [[i for i, edge in enumerate(edges) if v in edge] for v in range(len(allowed))]
+            for e in (i for i, k in enumerate(kept) if k):
+                rest = [edge for i, edge in enumerate(edges) if kept[i] and i != e]
+                status, colour, _, _ = _search(allowed, rest, 10**6)
+                if status is not Status.COLOURABLE:
+                    continue
+                necessary = [False] * len(edges)
+                necessary[e] = True
+                _rotate(e, colour, allowed, edges, incident, kept, necessary)
+                for f, is_necessary in enumerate(necessary):
+                    if is_necessary and f != e:
+                        marked_total += 1
+                        assert kept[f]
+                        without = [edge for i, edge in enumerate(edges) if kept[i] and i != f]
+                        assert _colourable(allowed, without)
+        assert marked_total > 100
