@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .intset import IntSet
+from .intset import IntSet, l1_values, l2_values
 from .solver import BLUE, RED, Colouring
 
 
@@ -83,11 +83,7 @@ def L1(a: int, x: int, d: int, n: int | None = None) -> IntSet:
     """Eleven-value Schur configuration built from a, x and step d."""
     if min(a, x, d) < 1:
         raise ValueError("a, x, d must be >= 1")
-    values = [
-        d, x, x + d,
-        a, a + d, a + 2 * d, a + 3 * d,
-        a + x, a + x + d, a + x + 2 * d, a + x + 3 * d,
-    ]
+    values = l1_values(a, x, d)
     bound = n if n is not None else max(values)
     if max(values) > bound:
         raise ValueError(f"element {max(values)} exceeds ground size {bound}")
@@ -100,11 +96,7 @@ def L2(a: int, x: int, d: int, n: int | None = None) -> IntSet:
         raise ValueError("a, x, d must be >= 1")
     if x <= a + 3 * d or x <= d:
         raise ValueError("require x > a + 3d and x > d")
-    values = [
-        d, x - d, x,
-        a, a + d, a + 2 * d, a + 3 * d,
-        x - a - 3 * d, x - a - 2 * d, x - a - d, x - a,
-    ]
+    values = l2_values(a, x, d)
     bound = n if n is not None else max(values)
     if max(values) > bound:
         raise ValueError(f"element {max(values)} exceeds ground size {bound}")

@@ -164,7 +164,12 @@ def indicator(s: IntSet) -> np.ndarray:
     """Bool array whose entry x is True iff x is in s, of length max(s) + 1
     rounded up to a whole byte (length 0 for the empty set); one pass over
     the mask."""
-    m = s.mask
+    return mask_bits(s.mask)
+
+
+def mask_bits(m: int) -> np.ndarray:
+    """Bool array of the bits of m >= 0, bit i at entry i, of length
+    bit_length(m) rounded up to a whole byte."""
     raw = np.frombuffer(m.to_bytes((m.bit_length() + 7) // 8, "little"), np.uint8)
     return np.unpackbits(raw, bitorder="little").view(bool)
 
@@ -277,24 +282,40 @@ def schur_triples(s: IntSet, nondegenerate_only: bool = False):
     yield from zip(x.tolist(), y.tolist(), (x + y).tolist())
 
 
-def hosting_sets(s: IntSet) -> list[tuple[int, ...]]:
-    """Distinct 2-/3-element subsets of s hosting a Schur triple, ascending.
+def _hosting_columns(s: IntSet) -> tuple[np.ndarray, ...]:
+    """The hosting sets of s in ascending order as four columns (first,
+    second, third, is_pair): a pair x = y gives the 2-set (x, 2x), marked
+    is_pair with third = 2x; any other gives (x, y, x + y). No two pairs
+    give the same set.
 
-    A pair x = y gives (x, 2x), any other gives (x, y, x + y); no two pairs
-    give the same set. One stable sort on the integer key (first, second,
-    length) reproduces Python's tuple order, where (x, 2x) comes before
-    (x, 2x, 3x).
+    One stable sort on the integer key (first, second, length) reproduces
+    Python's tuple order, where (x, 2x) comes before (x, 2x, 3x). Any
+    increasing map of the values (such as an element's rank in s) keeps
+    that order.
     """
     x, y = _sum_pairs(s)
-    degenerate = x == y
-    second = np.where(degenerate, 2 * x, y)
-    key = (x * (2 * s.n + 1) + second) * 2 + ~degenerate
+    is_pair = x == y
+    second = np.where(is_pair, 2 * x, y)
+    key = (x * (2 * s.n + 1) + second) * 2 + ~is_pair
     order = np.argsort(key, kind="stable")
-    x, second, degenerate = x[order], second[order], degenerate[order]
-    out = list(zip(x.tolist(), second.tolist(), (x + y[order]).tolist()))
-    for i in np.flatnonzero(degenerate).tolist():
+    return x[order], second[order], (x + y)[order], is_pair[order]
+
+
+def _edge_tuples(
+    first: np.ndarray, second: np.ndarray, third: np.ndarray, is_pair: np.ndarray
+) -> list[tuple[int, ...]]:
+    """The columns of _hosting_columns (or any map of their values) as a
+    list of 2- and 3-tuples."""
+    out = list(zip(first.tolist(), second.tolist(), third.tolist()))
+    for i in np.flatnonzero(is_pair).tolist():
         out[i] = out[i][:2]
     return out
+
+
+def hosting_sets(s: IntSet) -> list[tuple[int, ...]]:
+    """Distinct 2-/3-element subsets of s hosting a Schur triple, ascending
+    (see _hosting_columns)."""
+    return _edge_tuples(*_hosting_columns(s))
 
 
 def count_ordered_triples(s: IntSet, nondegenerate_only: bool = False) -> int:
@@ -314,26 +335,45 @@ def count_ordered_triples(s: IntSet, nondegenerate_only: bool = False) -> int:
     return count
 
 
+def _ap4_starts(mask: int, d: int) -> int:
+    """Bitmask of the a with a, a+d, a+2d, a+3d all set in mask."""
+    return mask & (mask >> d) & (mask >> (2 * d)) & (mask >> (3 * d))
+
+
 def count_4aps(s: IntSet) -> int:
     """Number of pairs (a, d), d >= 1, with a, a+d, a+2d, a+3d all in s."""
     mask = s.mask
-    count = 0
-    max_d = (s.n - 1) // 3
-    for d in range(1, max_d + 1):
-        m = mask & (mask >> d) & (mask >> (2 * d)) & (mask >> (3 * d))
-        count += m.bit_count()
-    return count
+    return sum(_ap4_starts(mask, d).bit_count() for d in range(1, (s.n - 1) // 3 + 1))
 
 
 def ap_differences(s: IntSet) -> IntSet:
     """Set of d such that s contains a 4-AP with common difference d."""
     mask = s.mask
     out = 0
-    max_d = (s.n - 1) // 3
-    for d in range(1, max_d + 1):
-        if mask & (mask >> d) & (mask >> (2 * d)) & (mask >> (3 * d)):
+    for d in range(1, (s.n - 1) // 3 + 1):
+        if _ap4_starts(mask, d):
             out |= 1 << d
     return IntSet._from_mask(s.n, out)
+
+
+def l1_values(a: int, x: int, d: int) -> list[int]:
+    """The eleven values of the Schur configuration L1(a, x, d): {d, x, x+d}
+    and the 4-APs with step d from a and from a + x."""
+    return [
+        d, x, x + d,
+        a, a + d, a + 2 * d, a + 3 * d,
+        a + x, a + x + d, a + x + 2 * d, a + x + 3 * d,
+    ]
+
+
+def l2_values(a: int, x: int, d: int) -> list[int]:
+    """The eleven values of the Schur configuration L2(a, x, d): {d, x-d, x}
+    and the 4-APs with step d from a and from x - a - 3d."""
+    return [
+        d, x - d, x,
+        a, a + d, a + 2 * d, a + 3 * d,
+        x - a - 3 * d, x - a - 2 * d, x - a - d, x - a,
+    ]
 
 
 def link_plus(a: IntSet, x: int) -> IntSet:

@@ -17,7 +17,20 @@ colours (propagation included) and later uncolours.
 
 `nodes_explored` counts colour trials, one per colour tried at a branch
 element; `budget` is checked before each trial, so a budget of k allows
-exactly k trials.
+exactly k trials. When no element is limited to one colour, swapping the
+colours maps every colouring to another, so the root tries only its first
+colour: a refutation costs half the trials of trying both, and colourable
+searches are unchanged.
+
+`find_schur_colouring` (and so `is_schur`) first scans a set whose
+elements all allow both colours for an embedded copy of the paper's
+eleven-value Schur configurations L1(a, x, d) or L2(a, x, d) (see
+`schur_certificate`): for each step d, one FFT of the mask of 4-AP starts
+gives the difference set and the sumset that locate a copy. A copy found
+is checked to lie in the set and, by trying all 2^11 colourings, to be
+uncolourable; it then decides the set NOT_COLOURABLE as one trial
+(`nodes_explored` 1). The scan's work is capped at CERTIFICATE_CELLS,
+whatever the input; without a copy the search runs with its full budget.
 
 Each coloured element records the edge that forced it. A search that ends
 NOT_COLOURABLE also returns an unsat core: the union of its conflict cones,
@@ -35,7 +48,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .intset import IntSet, hosting_sets
+import numpy as np
+
+from .intset import (
+    IntSet,
+    _ap4_starts,
+    _edge_tuples,
+    _hosting_columns,
+    hosting_sets,
+    indicator,
+    l1_values,
+    l2_values,
+    mask_bits,
+)
 
 RED = "R"
 BLUE = "B"
@@ -115,16 +140,26 @@ def _codes(colours: frozenset[str]) -> tuple[int, ...]:
     return tuple(sorted(_CODE[c] for c in colours))
 
 
-def _index(
-    elems: list[int], constraints: ColourConstraint
-) -> tuple[dict[int, int], list[tuple[int, ...]]]:
-    """Each element's vertex index, and each vertex's allowed colour codes."""
-    index = {e: i for i, e in enumerate(elems)}
+def _allowed(elems: list[int], constraints: ColourConstraint) -> list[tuple[int, ...]]:
+    """Each vertex's allowed colour codes, vertex i being elems[i]."""
     allowed = [_codes(BOTH)] * len(elems)
-    for e, colours in constraints.allowed.items():
-        if e in index:
-            allowed[index[e]] = _codes(colours)
-    return index, allowed
+    if constraints.allowed:
+        index = {e: i for i, e in enumerate(elems)}
+        for e, colours in constraints.allowed.items():
+            if e in index:
+                allowed[index[e]] = _codes(colours)
+    return allowed
+
+
+def _hosting_instance(s: IntSet) -> tuple[list[int], list[tuple[int, ...]]]:
+    """The elements of s ascending, and its hosting sets in hosting order
+    with each element replaced by its index among them. Ranks are
+    increasing in the values, so the index tuples sort like the value
+    tuples."""
+    elems = np.flatnonzero(indicator(s))
+    first, second, third, is_pair = _hosting_columns(s)
+    ranks = (np.searchsorted(elems, col) for col in (first, second, third))
+    return elems.tolist(), _edge_tuples(*ranks, is_pair)
 
 
 def _search(
@@ -166,13 +201,12 @@ def _search(
     seen = [0] * n_vertices  # conflict stamp of the last cone walk through v
     stamp = 0
 
-    def explain(i: int, roots) -> None:
-        """Mark edge i (if >= 0) and the reason cone of the coloured roots."""
+    def explain(i: int) -> None:
+        """Mark conflict edge i and the reason cone of its coloured vertices."""
         nonlocal stamp
         stamp += 1
-        if i >= 0:
-            marked[i] = True
-        todo = [u for u in roots if colour[u] >= 0]
+        marked[i] = True
+        todo = [u for u in edges[i] if colour[u] >= 0]
         while todo:
             u = todo.pop()
             if seen[u] == stamp:
@@ -185,20 +219,21 @@ def _search(
 
     def propagate(pending: list[tuple[int, int, int]]) -> bool:
         """Colour each pending (vertex, code, reason) and all it forces;
-        False, with the conflict explained, on a monochromatic edge, a
-        forced colour the vertex does not allow, or two opposite colours for
-        one vertex. Every vertex on the trail has all its edge counts
-        applied."""
+        False, with the conflict explained, on a monochromatic edge or a
+        forced colour the vertex does not allow. Every vertex on the trail
+        has all its edge counts applied."""
         conflict = -1
         while pending:
             v, c, r = pending.pop()
             if colour[v] >= 0:
-                # a guard, never true: a force against a seed is not
-                # allowed, and colouring v against edge r's force made r
-                # monochromatic, a conflict that returned first
-                if colour[v] != c:
-                    explain(r, [v] if r < 0 else edges[r])
-                    return False
+                # Already coloured, and always with c, so there is no
+                # opposite-colour conflict to detect here. A decision colours
+                # an uncoloured vertex. A seed's vertex allows only c, and a
+                # force is queued only with an allowed colour. A force by
+                # edge r was queued while r's other vertices had colour
+                # c ^ 1; had v been coloured c ^ 1 since, r would have become
+                # monochromatic in v's incident loop, a conflict that returns
+                # before this entry is popped.
                 continue
             colour[v] = c
             reason[v] = r
@@ -223,7 +258,7 @@ def _search(
                     else:
                         conflict = i
             if conflict >= 0:
-                explain(conflict, edges[conflict])
+                explain(conflict)
                 return False
         return True
 
@@ -257,14 +292,18 @@ def _search(
     v = pick_branch_var()
     if v < 0:
         return Status.COLOURABLE, colour, nodes, []
-    stack = [[v, 0, len(trail)]]  # frames: vertex, next colour position, trail mark
+    # With no one-colour vertex, swapping the colours maps the search below
+    # one root colour onto the search below the other, so the root tries
+    # only its first colour.
+    # frames: vertex, next colour position, colour positions to try, trail mark
+    stack = [[v, 0, 1 if not seeds else len(allowed[v]), len(trail)]]
     while stack:
         frame = stack[-1]
-        v, pos, mark = frame
-        if pos == len(allowed[v]):
+        v, pos, end, mark = frame
+        if pos == end:
             stack.pop()
             if stack:
-                undo(stack[-1][2])  # the parent's colour failed too
+                undo(stack[-1][3])  # the parent's colour failed too
             continue
         if nodes >= budget:
             return Status.BUDGET_EXCEEDED, colour, nodes, []
@@ -274,7 +313,7 @@ def _search(
             v = pick_branch_var()
             if v < 0:
                 return Status.COLOURABLE, colour, nodes, []
-            stack.append([v, 0, len(trail)])
+            stack.append([v, 0, len(allowed[v]), len(trail)])
         else:
             undo(mark)
     return refuted(nodes)
@@ -287,8 +326,18 @@ def _solve_edges(
     budget: int,
 ) -> SolveOutcome:
     """Core search over an explicit edge list on the elements elems."""
-    index, allowed = _index(elems, constraints)
+    index = {e: i for i, e in enumerate(elems)}
     mapped = [tuple(map(index.__getitem__, edge)) for edge in edges]
+    return _solve_mapped(elems, _allowed(elems, constraints), mapped, budget)
+
+
+def _solve_mapped(
+    elems: list[int],
+    allowed: list[tuple[int, ...]],
+    mapped: list[tuple[int, ...]],
+    budget: int,
+) -> SolveOutcome:
+    """Search over edges of vertex indices, vertex i being elems[i]."""
     status, colour, nodes, _ = _search(allowed, mapped, budget)
     if status is not Status.COLOURABLE:
         return SolveOutcome(status, None, nodes)
@@ -305,21 +354,144 @@ def find_schur_colouring(
     constraints: ColourConstraint | None = None,
     budget: int = DEFAULT_BUDGET,
 ) -> SolveOutcome:
-    """Search for a total colouring of s with no monochromatic hosting set."""
+    """Search for a total colouring of s with no monochromatic hosting set.
+
+    When every element of s allows both colours and budget >= 1, s is
+    first scanned for an embedded copy of L1 or L2 (schur_certificate). A
+    verified copy decides s NOT_COLOURABLE with no search; the scan counts
+    as one colour trial, so nodes_explored is 1 and a budget of 0 still
+    gives BUDGET_EXCEEDED. Otherwise the search runs with the full budget.
+    """
     if budget < 0:
         raise ValueError("budget must be >= 0")
     if constraints is None:
         constraints = ColourConstraint.free()
-    return _solve_edges(s.elements(), hosting_sets(s), constraints, budget)
+    free = all(c == BOTH for e, c in constraints.allowed.items() if e in s)
+    if free and budget >= 1 and schur_certificate(s) is not None:
+        return SolveOutcome(Status.NOT_COLOURABLE, None, 1)
+    elems, mapped = _hosting_instance(s)
+    return _solve_mapped(elems, _allowed(elems, constraints), mapped, budget)
 
 
 def is_schur(s: IntSet, budget: int = DEFAULT_BUDGET) -> SchurStatus:
+    """SCHUR when every 2-colouring of s has a monochromatic hosting set,
+    NOT_SCHUR when one has none, UNKNOWN when the budget runs out; decided
+    by find_schur_colouring, certificate first."""
     outcome = find_schur_colouring(s, None, budget)
     if outcome.status is Status.NOT_COLOURABLE:
         return SchurStatus.SCHUR
     if outcome.status is Status.COLOURABLE:
         return SchurStatus.NOT_SCHUR
     return SchurStatus.UNKNOWN
+
+
+# Work cap of schur_certificate, in cells: a step d costs max(s) // 64 + 1
+# cells for its 4-AP-start mask (machine words shifted) plus the length of
+# its transform when it has one. The scan of mod5_construction(3000), which
+# holds no copy, runs to the end in 3.6 * 10^6 cells and 0.14 s, against
+# 4.2 s for its search; a scan that reaches the cap took at most 0.32 s on
+# mod5_construction(n) up to n = 2 * 10^5 (2-core x86 machine).
+CERTIFICATE_CELLS = 1 << 22
+
+# For each of 11 vertices, the bitmap over all 2^11 colourings c (vertex v
+# red iff bit v of c is set) of the colourings that make v red.
+_CERT_VERTICES = 11
+_ALL_COLOURINGS = (1 << (1 << _CERT_VERTICES)) - 1
+_RED_IN = tuple(
+    sum(((1 << (1 << v)) - 1) << (j + (1 << v)) for j in range(0, 1 << _CERT_VERTICES, 2 << v))
+    for v in range(_CERT_VERTICES)
+)
+
+
+def _uncolourable(values: list[int]) -> bool:
+    """Exhaustive check: every 2-colouring of the distinct values (at most
+    11) leaves some x + y = z among them monochromatic, x = y included."""
+    vals = sorted(set(values))
+    if len(vals) > _CERT_VERTICES:
+        raise ValueError(f"at most {_CERT_VERTICES} values, got {len(vals)}")
+    rank = {v: i for i, v in enumerate(vals)}
+    mono = 0  # colourings with some monochromatic triple so far
+    for i, x in enumerate(vals):
+        for y in vals[i:]:
+            z = rank.get(x + y)
+            if z is not None:
+                red = blue = _ALL_COLOURINGS
+                for v in {i, rank[y], z}:
+                    red &= _RED_IN[v]
+                    blue &= ~_RED_IN[v]
+                mono |= red | blue
+    return mono == _ALL_COLOURINGS
+
+
+def schur_certificate(s: IntSet) -> tuple[str, int, int, int] | None:
+    """A copy of L1(a, x, d) or L2(a, x, d) inside s, as (name, a, x, d),
+    or None. A returned copy is a subset of s and has passed the
+    exhaustive check _uncolourable, so s is Schur.
+
+    For each d in s with 3d < max(s), ascending, M = s & s>>d & s>>2d &
+    s>>3d marks the starts of the 4-APs with step d. L1 needs some x with
+    x, x + d in s and x in M - M; L2 some x with x - d, x in s and x - 3d
+    in M + M. One real FFT of M gives both, as its autocorrelation and its
+    self-convolution; the smallest x of each kind is then located exactly
+    (a float count above 0.5 is only a candidate) and checked, L1 first.
+    The scan stops at the first checked copy, or when it has used
+    CERTIFICATE_CELLS cells of work (see there), whatever s is; None then
+    means no copy was found, not that none exists.
+    """
+    mask = s.mask
+    top = mask.bit_length() - 1
+    member = mask_bits(mask)
+    cells = CERTIFICATE_CELLS
+    for d in np.flatnonzero(member[: (top + 2) // 3]).tolist():
+        cells -= top // 64 + 1
+        if cells < 0:
+            return None
+        starts = _ap4_starts(mask, d)
+        if not starts:
+            continue
+        lo = (starts & -starts).bit_length() - 1
+        m = mask_bits(starts >> lo)
+        span = starts.bit_length() - lo  # M lies in [lo, lo + span)
+        size = 1 << (2 * span - 1).bit_length()
+        cells -= size
+        if cells < 0:
+            return None
+        f = np.fft.rfft(m.astype(np.float64), size)
+        # L1: differences 1..span-1 of M, at index x of the autocorrelation
+        diff = np.fft.irfft(f * f.conj(), size)[1:span] > 0.5
+        x_l1 = 1 + np.flatnonzero(diff & member[1:span] & member[1 + d : span + d])
+        if x_l1.size:
+            x = int(x_l1[0])
+            hits = np.flatnonzero(m[: span - x] & m[x:span])
+            if hits.size:
+                a = lo + int(hits[0])
+                if _certified(mask, l1_values(a, x, d)):
+                    return "L1", a, x, d
+        # L2: sums 2 lo + k of M, k < 2 span - 1, at index k of the
+        # self-convolution; x = 2 lo + 3d + k must be at most max(s)
+        k_max = min(2 * span - 1, top - 2 * lo - 3 * d + 1)
+        if k_max <= 0:
+            continue
+        xs = 2 * lo + 3 * d + np.arange(k_max)
+        sums = np.fft.irfft(f * f, size)[:k_max] > 0.5
+        x_l2 = xs[sums & member[xs] & member[xs - d]]
+        if x_l2.size:
+            x = int(x_l2[0])
+            first = np.flatnonzero(m)
+            second = x - 3 * d - 2 * lo - first  # offsets of x - 3d - a
+            ok = (second >= 0) & (second < span)
+            ok[ok] = m[second[ok]]
+            hits = np.flatnonzero(ok)
+            if hits.size:
+                a = lo + int(first[hits[0]])
+                if _certified(mask, l2_values(a, x, d)):
+                    return "L2", a, x, d
+    return None
+
+
+def _certified(mask: int, values: list[int]) -> bool:
+    """The values lie in the set of mask and are uncolourable."""
+    return all(v >= 1 and (mask >> v) & 1 for v in values) and _uncolourable(values)
 
 
 def validate_colouring(s: IntSet, c: Colouring) -> list[tuple[int, ...]]:
@@ -369,22 +541,20 @@ def minimal_obstruction(
         raise ValueError("budget must be >= 0")
     if constraints is None:
         constraints = ColourConstraint.free()
-    elems = s.elements()
-    index, allowed = _index(elems, constraints)
-    edges = hosting_sets(s)
-    mapped = [tuple(map(index.__getitem__, edge)) for edge in edges]
+    elems, mapped = _hosting_instance(s)
+    allowed = _allowed(elems, constraints)
     status, _, total_nodes, core = _search(allowed, mapped, budget)
     if status is not Status.NOT_COLOURABLE:
         return ObstructionResult(status, None, total_nodes)
 
-    kept = [True] * len(edges)
-    necessary = [False] * len(edges)
+    kept = [True] * len(mapped)
+    necessary = [False] * len(mapped)
     in_core = set(core)
     incident: list[list[int]] = [[] for _ in elems]
     for i, edge in enumerate(mapped):
         for v in edge:
             incident[v].append(i)
-    for e in sorted(range(len(edges)), key=edges.__getitem__, reverse=True):
+    for e in sorted(range(len(mapped)), key=mapped.__getitem__, reverse=True):
         if e not in in_core:
             kept[e] = False
         elif not necessary[e]:
@@ -401,9 +571,10 @@ def minimal_obstruction(
             else:
                 necessary[e] = True
                 _rotate(e, colour, allowed, mapped, incident, kept, necessary)
-    hg = HostingHypergraph(
-        n=s.n, vertices=s, edges=[edge for edge, k in zip(edges, kept) if k]
-    )
+    obstruction = [
+        tuple(elems[v] for v in edge) for edge, k in zip(mapped, kept) if k
+    ]
+    hg = HostingHypergraph(n=s.n, vertices=s, edges=obstruction)
     return ObstructionResult(Status.NOT_COLOURABLE, hg, total_nodes)
 
 

@@ -6,17 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schurperturb.constructions import construct_by_name
-from schurperturb.intset import IntSet, hosting_sets, is_sum_free
+import schurperturb.solver as solver_module
+from schurperturb.constructions import L1, L2, construct_by_name
+from schurperturb.intset import IntSet, hosting_sets, is_sum_free, l1_values, l2_values
 from schurperturb.montecarlo import RngSpec, sample_perturbation
 from schurperturb.solver import (
     BLUE,
     RED,
     ColourConstraint,
     Colouring,
+    DEFAULT_BUDGET,
     HostingHypergraph,
     SchurStatus,
     Status,
+    _certified,
     check_hmin_properties,
     find_loose_cycle,
     find_schur_colouring,
@@ -25,6 +28,8 @@ from schurperturb.solver import (
     _search,
     _solve_edges,
     minimal_obstruction,
+    schur_certificate,
+    _uncolourable,
     validate_colouring,
 )
 
@@ -237,28 +242,30 @@ def _pinned_instance(kind: str, x: float, trial: int):
 
 
 # (kind, x, trial, budget) -> (status, nodes_explored, witness digest),
-# recorded with the recursive solver this search replaced
+# recorded with the recursive solver this search replaced; the refutations
+# re-recorded once the root tried one colour of a free instance and an L1/L2
+# certificate decided an instance as one trial
 PINNED_TREES = [
     (("dense", 0.5, 0, None), ("colourable", 55, "773bdfe4830602c5")),
     (("dense", 0.5, 1, None), ("colourable", 52, "e4eb068c5f68916f")),
     (("dense", 0.5, 2, None), ("colourable", 31, "5db96a0e523cbd0a")),
     (("dense", 0.5, 3, None), ("colourable", 15, "8df7e9f0cb8fb7f7")),
     (("dense", 1.0, 0, None), ("colourable", 18, "1184bc731e7fde5f")),
-    (("dense", 1.0, 1, None), ("not_colourable", 14, None)),
-    (("dense", 1.0, 2, None), ("not_colourable", 14, None)),
+    (("dense", 1.0, 1, None), ("not_colourable", 7, None)),
+    (("dense", 1.0, 2, None), ("not_colourable", 1, None)),
     (("dense", 1.0, 3, None), ("colourable", 15, "8df7e9f0cb8fb7f7")),
     (("dense", 1.5, 0, None), ("colourable", 12, "79e9248b08b3e1c1")),
-    (("dense", 1.5, 1, None), ("not_colourable", 38, None)),
-    (("dense", 1.5, 2, None), ("not_colourable", 14, None)),
+    (("dense", 1.5, 1, None), ("not_colourable", 1, None)),
+    (("dense", 1.5, 2, None), ("not_colourable", 1, None)),
     (("dense", 1.5, 3, None), ("colourable", 47, "2dd8e3ccbcd74dac")),
     (("dense", 0.5, 0, 27), ("budget_exceeded", 27, None)),
-    (("dense", 1.5, 1, 19), ("budget_exceeded", 19, None)),
+    (("dense", 1.5, 1, 19), ("not_colourable", 1, None)),
     (("sparse", 2.0, 0, None), ("not_colourable", 0, None)),
     (("sparse", 2.0, 1, None), ("colourable", 10, "88af0e19cef029fb")),
     (("sparse", 2.0, 2, None), ("not_colourable", 14, None)),
     (("sparse", 2.0, 3, None), ("colourable", 4, "2684e8988e1e038c")),
     (("full", 4, 0, 0), ("budget_exceeded", 0, None)),
-    (("full", 13, 0, 1), ("budget_exceeded", 1, None)),
+    (("full", 13, 0, 1), ("not_colourable", 1, None)),
 ]
 
 # sparse:200,14 forced blue at 2 th, trial -> (nodes_explored, edges); the
@@ -283,8 +290,9 @@ PINNED_OBSTRUCTIONS = {
 
 class TestPinnedSearchTree:
     """The search visits the same nodes in the same order as the recursive
-    solver it replaced: same verdicts, node counts, budget cut-offs and
-    witnesses, and the same deletion-order obstructions."""
+    solver it replaced (bar the mirrored half of a free refutation): same
+    verdicts, node counts, budget cut-offs and witnesses, and the same
+    deletion-order obstructions."""
 
     @pytest.mark.parametrize("case,expected", PINNED_TREES)
     def test_solve(self, case, expected):
@@ -476,3 +484,204 @@ class TestCoreAndRotation:
                         without = [edge for i, edge in enumerate(edges) if kept[i] and i != f]
                         assert _colourable(allowed, without)
         assert marked_total > 100
+
+
+# the parent search's node counts on the pinned dense refutations, when the
+# root tried both colours
+FULL_REFUTATIONS = [
+    (("dense", 1.0, 1), 14),
+    (("dense", 1.0, 2), 14),
+    (("dense", 1.5, 1), 38),
+    (("dense", 1.5, 2), 14),
+]
+
+
+class TestRootSymmetry:
+    """With no one-colour vertex the root tries one colour: a refutation
+    costs half the nodes, and its core stays uncolourable."""
+
+    @pytest.mark.parametrize("case,full_tree", FULL_REFUTATIONS)
+    def test_refutation_halved(self, case, full_tree):
+        s, _ = _pinned_instance(*case)
+        out = _solve_edges(s.elements(), hosting_sets(s), ColourConstraint.free(), DEFAULT_BUDGET)
+        assert (out.status, out.nodes_explored) == (Status.NOT_COLOURABLE, full_tree // 2)
+
+    def test_opposite_forces_refuted_by_monochromatic_edge(self):
+        # Vertex 0 is the root and takes colour 0; its incident loop queues
+        # forces 1 -> 1 (edge 0) and 2 -> 1 (edge 1). Colouring 2 queues the
+        # opposite force 1 -> 0 (edge 2) on top of 1 -> 1, so 1 takes colour
+        # 0 and edge 0 turns monochromatic before 1 -> 1 is popped.
+        allowed = [(0, 1)] * 3
+        edges = [(0, 1), (0, 2), (1, 2)]
+        status, _, nodes, core = _search(allowed, edges, 100)
+        assert (status, nodes, core) == (Status.NOT_COLOURABLE, 1, [0, 1, 2])
+        assert not _colourable(allowed, [edges[i] for i in core])
+
+    def test_random_free_cores_uncolourable(self):
+        rng = random.Random(9)
+        refuted = 0
+        for _ in range(1500):
+            _, edges = _random_instance(rng)
+            allowed = [(0, 1)] * (1 + max(v for edge in edges for v in edge))
+            status, _, _, core = _search(allowed, edges, 10**6)
+            assert status is (Status.COLOURABLE if _colourable(allowed, edges) else Status.NOT_COLOURABLE)
+            if status is Status.NOT_COLOURABLE:
+                refuted += 1
+                assert not _colourable(allowed, [edges[i] for i in core])
+        assert refuted > 100
+
+
+def _values_colourable(values) -> bool:
+    """Independent enumeration: some 2-colouring of the distinct values
+    leaves every x + y = z among them (x = y included) bichromatic."""
+    vals = sorted(set(values))
+    pos = {v: i for i, v in enumerate(vals)}
+    triples = [
+        (pos[x], pos[y], pos[x + y]) for x in vals for y in vals if x <= y and x + y in pos
+    ]
+    # colouring c gives vals[i] colour bit i of c
+    return any(
+        all(((c >> i) ^ (c >> j)) & 1 or ((c >> i) ^ (c >> k)) & 1 for i, j, k in triples)
+        for c in range(1 << len(vals))
+    )
+
+
+CRITERION_3_SEED = 20260824  # the acceptance suite's master seed
+
+
+def _criterion3_configs():
+    """The L1 and L2 sets of acceptance criterion 3: every (a, x, d) up to
+    30, then 200 random triples up to 200."""
+    out = []
+    for d in range(1, 10):
+        for a in range(1, 28 - 3 * d):
+            for x in range(1, 30 - a - 3 * d + 1):
+                out.append(L1(a, x, d))
+                if x > a + 3 * d and x <= 30:
+                    out.append(L2(a, x, d))
+    rng = random.Random(CRITERION_3_SEED)
+    done = 0
+    while done < 200:
+        d = rng.randint(1, 10)
+        a = rng.randint(1, 50)
+        if a + 3 * d + 1 > 200 - a - 3 * d:
+            continue
+        x = rng.randint(a + 3 * d + 1, 200 - a - 3 * d)
+        out += [L1(a, x, d), L2(a, x, d)]
+        done += 1
+    return out
+
+
+def _sweep_dense_trials(seed: int = 11, trials: int = 390):
+    """The instances of a sweep of dense0:300,15 at th/2, th and 3 th/2 with
+    sweep()'s global trial indices (the sweep_dense benchmark inputs of a
+    15 s run)."""
+    base = construct_by_name("dense0:300,15").A
+    th = min(300 ** (-2 / 3), 1 / 15)
+    return [
+        base.union(sample_perturbation(300, m * th, RngSpec(seed), i * trials + j))
+        for i, m in enumerate((0.5, 1.0, 1.5))
+        for j in range(trials)
+    ]
+
+
+def _dense_corpus():
+    """22 seeded trials of dense0:300,15 and of dense0:120,6 at each of
+    th/8, th/4, ..., 8 th."""
+    out = []
+    for name, n, t in (("dense0:300,15", 300, 15), ("dense0:120,6", 120, 6)):
+        base = construct_by_name(name).A
+        th = min(n ** (-2 / 3), 1 / t)
+        for k in range(-3, 4):
+            out += [base.union(sample_perturbation(n, th * 2.0**k, RngSpec(3), i)) for i in range(22)]
+    return out
+
+
+def _certificate_values(cert):
+    name, a, x, d = cert
+    return (l1_values if name == "L1" else l2_values)(a, x, d)
+
+
+def _check_checker(checker) -> None:
+    """checker agrees with the independent enumeration on L1/L2 sets and on
+    colourable 11-value sets next to them."""
+    rng = random.Random(4)
+    colourable = 0
+    for _ in range(150):
+        d, a = rng.randint(1, 6), rng.randint(1, 20)
+        x = rng.randint(a + 3 * d + 1, a + 3 * d + 30)
+        values = rng.choice((l1_values, l2_values))(a, x, d)
+        near = list(values)
+        near[rng.randrange(11)] += rng.randint(1, 5)
+        for vals in (values, near):
+            expected = not _values_colourable(vals)
+            colourable += not expected
+            assert checker(vals) is expected, vals
+    assert colourable > 25
+
+
+class TestCertificate:
+    """Every L1/L2 certificate is a subset of s and uncolourable, and the
+    certificate never changes the status the search gives."""
+
+    def test_checker_agrees_with_enumeration(self):
+        _check_checker(_uncolourable)
+
+    def test_checker_that_accepts_a_colourable_set_fails(self):
+        def mutant(values):
+            return len(set(values)) == 11 or _uncolourable(values)
+
+        with pytest.raises(AssertionError):
+            _check_checker(mutant)
+
+    def test_copy_outside_the_set_rejected(self):
+        values = l1_values(1, 1, 1)  # {1, ..., 5}, which is Schur
+        assert _uncolourable(values)
+        assert _certified(IntSet.full(5).mask, values)
+        assert not _certified(IntSet.full(4).mask, values)
+
+    def test_certificates_sound(self):
+        corpus = (
+            _dense_corpus()
+            + _sweep_dense_trials()[::5]
+            + _criterion3_configs()[::7]
+            + [IntSet.full(k) for k in range(1, 41)]
+        )
+        found = 0
+        for s in corpus:
+            cert = schur_certificate(s)
+            if cert is None:
+                continue
+            found += 1
+            values = _certificate_values(cert)
+            assert set(values) <= set(s)
+            assert not _values_colourable(values)
+        assert found > 450
+
+    def test_no_certificate_in_colourable_sets(self):
+        assert schur_certificate(IntSet.full(4)) is None
+        mod5 = construct_by_name("mod5", 300)[0]
+        assert schur_certificate(mod5) is None
+
+    def test_scan_cap(self, monkeypatch):
+        s = IntSet.full(40)
+        assert schur_certificate(s) == ("L1", 1, 1, 1)
+        monkeypatch.setattr(solver_module, "CERTIFICATE_CELLS", 1)
+        assert schur_certificate(s) is None
+        assert find_schur_colouring(s).status is Status.NOT_COLOURABLE
+
+    def test_certificate_counts_one_trial(self):
+        s = IntSet.full(20)
+        assert find_schur_colouring(s, budget=1).nodes_explored == 1
+        assert find_schur_colouring(s, budget=0).status is Status.BUDGET_EXCEEDED
+        constrained = find_schur_colouring(s, ColourConstraint.force_blue([20]))
+        assert constrained.status is Status.NOT_COLOURABLE
+        assert constrained.nodes_explored > 1  # searched: not every element is free
+
+    @pytest.mark.parametrize(
+        "corpus", [_dense_corpus, _sweep_dense_trials, _criterion3_configs]
+    )
+    def test_same_status_as_search(self, corpus):
+        for s in corpus():
+            plain = _solve_edges(s.elements(), hosting_sets(s), ColourConstraint.free(), DEFAULT_BUDGET)
+            assert find_schur_colouring(s).status is plain.status
