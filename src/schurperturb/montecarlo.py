@@ -146,8 +146,7 @@ def sample_perturbation(n: int, p: float, rng: RngSpec, trial_index: int) -> Int
         size = min(_BLOCK, n - start + 1)
         k = int(gen.binomial(size, p))
         if k:
-            picks = gen.choice(size, size=k, replace=False)
-            elems.extend(int(start + o) for o in picks)
+            elems.extend((start + gen.choice(size, size=k, replace=False)).tolist())
     return IntSet(n, elems)
 
 

@@ -110,6 +110,71 @@ class TestConstruction:
         assert IntSet(5, [1]) != IntSet(6, [1])
         assert IntSet(5, [1]) == IntSet(5, [1])
 
+    def test_numpy_integer_members(self):
+        s = IntSet(100, np.array([70, 5]))
+        assert len(s) == 2 and 70 in s and type(s.mask) is int
+        t = IntSet(100, [3, np.int64(70)])
+        assert list(t) == [3, 70] and type(t.mask) is int
+        assert np.int64(70) in t and np.int32(4) not in t
+        u = t.with_element(np.int64(80))
+        assert u.elements() == [3, 70, 80] and type(u.mask) is int
+
+    @settings(max_examples=200)
+    @given(
+        st.integers(1, 300).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(st.integers(1, n), max_size=60),
+                st.sampled_from(["list", "generator", "int64", "uint16", "int32 scalars"]),
+            )
+        )
+    )
+    @example((1, [], "int64"))
+    @example((9, [9, 1, 9, 8], "generator"))
+    def test_mask_matches_reference(self, case):
+        n, members, kind = case
+        arg = {
+            "list": lambda: members,
+            "generator": lambda: (x for x in members),
+            "int64": lambda: np.array(members, dtype=np.int64),
+            "uint16": lambda: np.array(members, dtype=np.uint16),
+            "int32 scalars": lambda: [np.int32(x) for x in members],
+        }[kind]()
+        s = IntSet(n, arg)
+        assert s.mask == sum(1 << x for x in set(members))
+        assert type(s.mask) is int and len(s) == len(set(members))
+
+    @settings(max_examples=60)
+    @given(
+        st.integers(1, 200).flatmap(
+            lambda n: st.tuples(st.just(n), st.integers(1, n), st.integers(1, n), st.integers(0, n))
+        )
+    )
+    def test_ranges(self, case):
+        n, lo, hi, step = case
+        r = range(lo, hi + 1, step + 1)
+        assert IntSet(n, r).mask == sum(1 << x for x in r)
+
+    @settings(max_examples=100)
+    @given(
+        st.integers(1, 100).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(st.integers(1, n), max_size=10),
+                st.lists(st.integers(-5, 0) | st.integers(n + 1, n + 50), min_size=1, max_size=4),
+                st.randoms(use_true_random=False),
+            )
+        )
+    )
+    def test_first_outside_member_named(self, case):
+        n, inside, outside, rng = case
+        members = inside + outside
+        rng.shuffle(members)
+        first = next(x for x in members if not 1 <= x <= n)
+        for arg in (members, iter(members), np.array(members)):
+            with pytest.raises(ValueError, match=rf"^element {first} outside ground interval \[1, {n}\]$"):
+                IntSet(n, arg)
+
 
 class TestIteration:
     @given(
@@ -225,9 +290,7 @@ class TestSumFreeAgainstReference:
         rng = random.Random(8)
         lo = [x for x in range(1, 1 << 16, 2) if rng.random() < 0.5]
         hi = [x for x in range(n - (1 << 16), n + 1) if x % 2 and rng.random() < 0.5]
-        bits = np.zeros(n + 1, dtype=bool)
-        bits[lo + hi] = True
-        s = IntSet._from_mask(n, int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little"))
+        s = IntSet(n, lo + hi)
         tracemalloc.start()
         try:
             assert is_sum_free(s)
@@ -278,6 +341,72 @@ class TestTriplesAgainstReference:
     def test_sample_at_two_million(self):
         s = sample_perturbation(2 * 10**6, 1e-3, RngSpec(11), 0)
         assert hosting_sets(s) == ref_hosting_sets(s)
+
+    def test_counts_straddle_fft_block(self):
+        # the FFT path with two blocks, so the off-diagonal pair (0, 1) runs
+        b = intset.FFT_BLOCK
+        rng = random.Random(10)
+        for n in (b + 1, b + 5000, 2 * b - 3):
+            s = IntSet(n, [x for x in range(1, n + 1) if rng.random() < 0.004] + [n])
+            assert len(s) ** 2 > max(s)
+            for nd in (False, True):
+                assert count_ordered_triples(s, nd) == ref_count_ordered_triples(s, nd)
+
+    @settings(max_examples=150)
+    @given(st.integers(1, 300).flatmap(lambda n: st.tuples(st.just(n), st.sets(st.integers(1, n)))))
+    def test_counts_many_small_blocks(self, case):
+        n, members = case
+        s = IntSet(n, members)
+        old = intset.FFT_BLOCK
+        intset.FFT_BLOCK = 8
+        try:
+            for nd in (False, True):
+                assert count_ordered_triples(s, nd) == ref_count_ordered_triples(s, nd)
+        finally:
+            intset.FFT_BLOCK = old
+
+    def test_counts_at_dispatch_boundary(self, monkeypatch):
+        # |s|^2 <= max(s) counts with the pair finder, else with the FFTs
+        calls = []
+        convolutions = intset._block_convolutions
+
+        def spy(ind, top):
+            calls.append(top)
+            return convolutions(ind, top)
+
+        monkeypatch.setattr(intset, "_block_convolutions", spy)
+        rng = random.Random(12)
+        for k in (1, 2, 3, 7, 30):
+            for top, fft in ((k * k, False), (k * k - 1, True)):
+                if top < k:
+                    continue
+                s = IntSet(top, rng.sample(range(1, top), k - 1) + [top])
+                calls.clear()
+                for nd in (False, True):
+                    assert count_ordered_triples(s, nd) == ref_count_ordered_triples(s, nd)
+                assert bool(calls) == fft
+        for s in (IntSet(1), IntSet(1, [1]), IntSet(7), IntSet(2, [1, 2])):
+            for nd in (False, True):
+                assert count_ordered_triples(s, nd) == ref_count_ordered_triples(s, nd)
+
+    def test_count_memory_is_capped(self):
+        # odd elements in the first and last blocks of [2^22 - 5], plus 2:
+        # the only triples are 2 + x = x + 2 and 1 + 1 = 2
+        n = (1 << 22) - 5
+        rng = random.Random(8)
+        lo = [x for x in range(1, 1 << 16, 2) if rng.random() < 0.5]
+        hi = [x for x in range(n - (1 << 16), n + 1) if x % 2 and rng.random() < 0.5]
+        s = IntSet(n, [2] + lo + hi)
+        odd = set(lo + hi)
+        want = 2 * sum(x + 2 in odd for x in odd) + (1 in odd)
+        tracemalloc.start()
+        try:
+            got = count_ordered_triples(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak < FFT_MEMORY_CAP
 
     def test_ordered_counts_dense(self):
         rng = random.Random(9)
