@@ -22,15 +22,21 @@ colours maps every colouring to another, so the root tries only its first
 colour: a refutation costs half the trials of trying both, and colourable
 searches are unchanged.
 
-`find_schur_colouring` (and so `is_schur`) first scans a set whose
-elements all allow both colours for an embedded copy of the paper's
-eleven-value Schur configurations L1(a, x, d) or L2(a, x, d) (see
-`schur_certificate`): for each step d, one FFT of the mask of 4-AP starts
-gives the difference set and the sumset that locate a copy. A copy found
-is checked to lie in the set and, by trying all 2^11 colourings, to be
-uncolourable; it then decides the set NOT_COLOURABLE as one trial
-(`nodes_explored` 1). The scan's work is capped at CERTIFICATE_CELLS,
-whatever the input; without a copy the search runs with its full budget.
+`find_schur_colouring` (and so `is_schur`) gives a sum-free set the
+search's answer on no edges (0 trials) without building its hypergraph.
+It then scans a set whose elements all allow both colours for an embedded
+copy of the paper's eleven-value Schur configurations L1(a, x, d) or
+L2(a, x, d) (see `schur_certificate`): for each step d, one FFT of the mask
+of 4-AP starts gives the difference set and the sumset that locate a copy.
+A copy found is checked to lie in the set and, by trying all 2^11
+colourings, to be uncolourable; it then decides the set NOT_COLOURABLE.
+Failing that, `split_witness` colours the top of the set as the paper's
+lower-bound colourings do, an interval split into a blue and a red part,
+and the few elements below by a small search; a colouring whose two classes
+pass `is_sum_free` decides the set COLOURABLE. Either decision costs one
+trial (`nodes_explored` 1) and no hypergraph. Both are work-capped
+(CERTIFICATE_CELLS; SPLIT_POINTS, SPLIT_LOW, SPLIT_TRIALS), whatever the
+input; when neither decides, the search runs with its full budget.
 
 Each coloured element records the edge that forced it. A search that ends
 NOT_COLOURABLE also returns an unsat core: the union of its conflict cones,
@@ -57,6 +63,7 @@ from .intset import (
     _hosting_columns,
     hosting_sets,
     indicator,
+    is_sum_free,
     l1_values,
     l2_values,
     mask_bits,
@@ -356,27 +363,47 @@ def find_schur_colouring(
 ) -> SolveOutcome:
     """Search for a total colouring of s with no monochromatic hosting set.
 
-    When every element of s allows both colours and budget >= 1, s is
-    first scanned for an embedded copy of L1 or L2 (schur_certificate). A
-    verified copy decides s NOT_COLOURABLE with no search; the scan counts
-    as one colour trial, so nodes_explored is 1 and a budget of 0 still
-    gives BUDGET_EXCEEDED. Otherwise the search runs with the full budget.
+    A sum-free s has no hosting set, so it gets what the search gives on no
+    edges: each element's first allowed colour and 0 nodes, or
+    NOT_COLOURABLE when an element allows none. When every element of s
+    allows both colours and budget >= 1, s is then scanned for an embedded
+    copy of L1 or L2 (schur_certificate), and failing that, a split
+    colouring is tried (split_witness). A verified copy decides s
+    NOT_COLOURABLE and a verified split colouring decides it COLOURABLE,
+    with no hypergraph and no search; either counts as one colour trial, so
+    nodes_explored is 1 and a budget of 0 still gives BUDGET_EXCEEDED.
+    Otherwise the search runs with the full budget.
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
     if constraints is None:
         constraints = ColourConstraint.free()
-    free = all(c == BOTH for e, c in constraints.allowed.items() if e in s)
-    if free and budget >= 1 and schur_certificate(s) is not None:
-        return SolveOutcome(Status.NOT_COLOURABLE, None, 1)
-    elems, mapped = _hosting_instance(s)
+    if _sum_free(s):
+        elems, mapped = s.elements(), []  # no hosting set
+    else:
+        free = all(c == BOTH for e, c in constraints.allowed.items() if e in s)
+        if free and budget >= 1:
+            if schur_certificate(s) is not None:
+                return SolveOutcome(Status.NOT_COLOURABLE, None, 1)
+            witness = split_witness(s)
+            if witness is not None:
+                return SolveOutcome(Status.COLOURABLE, witness, 1)
+        elems, mapped = _hosting_instance(s)
     return _solve_mapped(elems, _allowed(elems, constraints), mapped, budget)
+
+
+def _sum_free(s: IntSet) -> bool:
+    """is_sum_free(s), first ruling out a sum a + y = z with a = min(s)
+    by one shift of the mask."""
+    mask = s.mask
+    a = (mask & -mask).bit_length() - 1
+    return not (mask and (mask >> a) & mask) and is_sum_free(s)
 
 
 def is_schur(s: IntSet, budget: int = DEFAULT_BUDGET) -> SchurStatus:
     """SCHUR when every 2-colouring of s has a monochromatic hosting set,
     NOT_SCHUR when one has none, UNKNOWN when the budget runs out; decided
-    by find_schur_colouring, certificate first."""
+    by find_schur_colouring, certificate and split colouring first."""
     outcome = find_schur_colouring(s, None, budget)
     if outcome.status is Status.NOT_COLOURABLE:
         return SchurStatus.SCHUR
@@ -494,11 +521,152 @@ def _certified(mask: int, values: list[int]) -> bool:
     return all(v >= 1 and (mask >> v) & 1 for v in values) and _uncolourable(values)
 
 
+# Work caps of split_witness: the split points it tries, the most elements
+# below a split's blue part (coloured by search), and the colour trials of
+# that search. On the 1,170 seed-11 sweep_dense trials (dense0:300,15) the
+# splits decided 824 of the 828 colourable ones, at 0.25 ms per decided and
+# 0.36 ms per undecided trial; on dense0:100000,1000 at th/2, 13 of 20
+# trials in under 0.1 s each (2-core x86 machine). The search cap is never
+# reached there: every low element allows one colour.
+SPLIT_POINTS = 16
+SPLIT_LOW = 24
+SPLIT_TRIALS = 64
+
+
+def split_witness(s: IntSet) -> Colouring | None:
+    """A proper colouring of s from a split of its top, or None.
+
+    For a split point m in [max(s) // 2, max(s) - 1] and L = m // 2 + 1,
+    the blue core s & [L, m] and the red core s & [m + 1, max(s)] are
+    sum-free (2L > m and 2(m + 1) > max(s)). The low elements
+    s & [1, L - 1] are coloured by _extend, and the colouring is returned
+    only once both classes pass is_sum_free (_classes_sum_free), so a
+    returned colouring is always proper.
+
+    Each L gets one split, its largest m, min(2L - 1, max(s) - 1). L runs
+    down from the largest value that leaves at most SPLIT_LOW low elements,
+    for at most SPLIT_POINTS values; None means no split gave a colouring,
+    not that none exists.
+    """
+    mask = s.mask
+    top = mask.bit_length() - 1
+    elems = np.flatnonzero(mask_bits(mask))
+    # L <= elems[SPLIT_LOW] leaves at most SPLIT_LOW elements below L
+    start = min((top + 1) // 2, int(elems[SPLIT_LOW]) if elems.size > SPLIT_LOW else top)
+    for low_end in range(start, 0, -1)[:SPLIT_POINTS]:
+        m = min(2 * low_end - 1, top - 1)  # the largest m with m // 2 + 1 = L
+        if m < top // 2:
+            break
+        low = mask & ((1 << low_end) - 1)
+        red = mask >> (m + 1) << (m + 1)
+        blue = mask ^ red ^ low
+        codes = _extend(low, (blue, red))
+        if codes is None:
+            continue
+        for x, c in codes.items():
+            if c == _CODE[BLUE]:
+                blue |= 1 << x
+            else:
+                red |= 1 << x
+        if _classes_sum_free(IntSet._from_mask(s.n, red), IntSet._from_mask(s.n, blue)):
+            is_red = mask_bits(red)[elems].tolist()  # red holds max(s)
+            return Colouring(dict(zip(elems.tolist(), (_NAME[c] for c in is_red))))
+    return None
+
+
+def _extend(low: int, cores: tuple[int, int]) -> dict[int, int] | None:
+    """Colour codes for the elements of the mask low, such that adding
+    each to the core of its code (cores[0] blue, cores[1] red, disjoint
+    from low and both sum-free) leaves both classes sum-free; None when the
+    search finds none within SPLIT_TRIALS trials.
+
+    Every sum x + y = z inside one class with some of x, y, z in low
+    becomes a constraint on low alone (K = cores[c]):
+    - x in low never has colour c when x in K - K, x in K + K or 2x in K;
+    - x < y in low are not both c when x + y in K or y - x in K;
+    - x + y = z inside low (x = y included) is not monochromatic.
+    The search is _search, with a vertex allowed only c closing each
+    "not both c" pair into the 3-edge (x, y, that vertex).
+    """
+    q = np.flatnonzero(mask_bits(low)).tolist()
+    allowed = []
+    can = [0, 0]  # the elements of low that allow colour c
+    for x in q:
+        codes = tuple(c for c, k in enumerate(cores) if not _unary_forbidden(x, k))
+        if not codes:
+            return None
+        for c in codes:
+            can[c] |= 1 << x
+        allowed.append(codes)
+    # Elements that allow one colour take it; a constraint broken among
+    # them alone refutes the split before any search.
+    forced = (can[0] & ~can[1], can[1] & ~can[0])
+    for x, codes in zip(q, allowed):
+        if len(codes) == 1:
+            f = forced[codes[0]]
+            if (_pair_mask(x, cores[codes[0]]) | f >> x) & f:
+                return None
+    if not can[0] & can[1]:
+        return {x: codes[0] for x, codes in zip(q, allowed)}
+    index = {x: i for i, x in enumerate(q)}
+    allowed += [(0,), (1,)]  # vertex len(q) + c allows only c
+    edges = []
+    for i, x in enumerate(q):
+        above = low & ~((2 << x) - 1)
+        for c in allowed[i]:
+            pairs = _pair_mask(x, cores[c]) & above & can[c]
+            while pairs:
+                y = pairs.bit_length() - 1
+                pairs ^= 1 << y
+                edges.append((i, index[y], len(q) + c))
+        sums = (low >> x) & low & ~((1 << x) - 1)  # y >= x with x + y in low
+        while sums:
+            y = sums.bit_length() - 1
+            sums ^= 1 << y
+            z = index[x + y]
+            edges.append((i, z) if y == x else (i, index[y], z))
+    status, colour, _, _ = _search(allowed, edges, SPLIT_TRIALS)
+    if status is not Status.COLOURABLE:
+        return None
+    return {x: c if c >= 0 else allowed[i][0] for i, (x, c) in enumerate(zip(q, colour))}
+
+
+def _pair_mask(x: int, k: int) -> int:
+    """The y with x + y or y - x in the set of the mask k."""
+    return (k >> x) | (k << x)
+
+
+def _unary_forbidden(x: int, k: int) -> bool:
+    """x in k - k, 2x in k or x in k + k, for the set of the mask k."""
+    if (k >> x) & k or (k >> 2 * x) & 1:
+        return True
+    below = k & ((1 << x) - 1)
+    while below:
+        y = below.bit_length() - 1
+        below ^= 1 << y
+        if (k >> (x - y)) & 1:
+            return True
+    return False
+
+
+def _classes_sum_free(*classes: IntSet) -> bool:
+    """Every class is sum-free: a colouring with these classes leaves no
+    hosting set monochromatic."""
+    return all(map(is_sum_free, classes))
+
+
 def validate_colouring(s: IntSet, c: Colouring) -> list[tuple[int, ...]]:
-    """The monochromatic hosting sets of s under c; empty iff c is Schur."""
+    """The monochromatic hosting sets of s under c; empty iff c is Schur.
+    The hosting sets are enumerated only when a colour class of s is not
+    sum-free (_classes_sum_free)."""
     missing = [e for e in s if e not in c.assignment]
     if missing:
         raise ValueError(f"colouring misses elements {missing[:5]}")
+    classes: dict[str, list[int]] = {}
+    for e in s:
+        classes.setdefault(c.assignment[e], []).append(e)
+    if _classes_sum_free(*(IntSet(s.n, members) for members in classes.values())):
+        return []
     bad = []
     for edge in hosting_sets(s):
         colours = {c.assignment[v] for v in edge}

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import schurperturb.solver as solver_module
-from schurperturb.constructions import L1, L2, construct_by_name
+from schurperturb.constructions import L1, L2, construct_by_name, odd_set
 from schurperturb.intset import IntSet, hosting_sets, is_sum_free, l1_values, l2_values
 from schurperturb.montecarlo import RngSpec, sample_perturbation
 from schurperturb.solver import (
@@ -19,7 +19,11 @@ from schurperturb.solver import (
     HostingHypergraph,
     SchurStatus,
     Status,
+    _allowed,
     _certified,
+    _extend,
+    _hosting_instance,
+    _solve_mapped,
     check_hmin_properties,
     find_loose_cycle,
     find_schur_colouring,
@@ -29,6 +33,7 @@ from schurperturb.solver import (
     _solve_edges,
     minimal_obstruction,
     schur_certificate,
+    split_witness,
     _uncolourable,
     validate_colouring,
 )
@@ -110,6 +115,37 @@ class TestValidateColouring:
     def test_partial_colouring_rejected(self):
         with pytest.raises(ValueError):
             validate_colouring(IntSet(5, [1, 2]), Colouring({1: RED}))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 40).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.sets(st.integers(1, n)),
+                st.lists(st.sampled_from([RED, BLUE]), min_size=n + 3, max_size=n + 3),
+            )
+        )
+    )
+    def test_same_edges_as_edge_loop(self, args):
+        """The monochromatic hosting sets, in hosting order, as the loop
+        over every hosting set gives them; colour entries outside s count
+        for nothing."""
+        n, elems, colours = args
+        s = IntSet(n, elems)
+        c = Colouring(dict(enumerate(colours)))
+        expected = [e for e in hosting_sets(s) if len({c.assignment[v] for v in e}) == 1]
+        assert validate_colouring(s, c) == expected
+
+    def test_proper_colouring_enumerates_no_hosting_set(self, monkeypatch):
+        s, colouring = construct_by_name("mod5", 3000)
+        witness = find_schur_colouring(IntSet(9, range(1, 5))).witness
+
+        def unexpected(_):
+            raise AssertionError("hosting sets enumerated for a proper colouring")
+
+        monkeypatch.setattr(solver_module, "hosting_sets", unexpected)
+        assert validate_colouring(s, colouring) == []
+        assert validate_colouring(IntSet(9, range(1, 5)), witness) == []
 
 
 class TestMinimalObstruction:
@@ -241,10 +277,11 @@ def _pinned_instance(kind: str, x: float, trial: int):
     return perturbed, ColourConstraint.force_blue(base)
 
 
-# (kind, x, trial, budget) -> (status, nodes_explored, witness digest),
-# recorded with the recursive solver this search replaced; the refutations
-# re-recorded once the root tried one colour of a free instance and an L1/L2
-# certificate decided an instance as one trial
+# (kind, x, trial, budget) -> (status, nodes_explored, witness digest) of
+# the certificate scan and the search, recorded with the recursive solver
+# this search replaced; the refutations re-recorded once the root tried one
+# colour of a free instance and an L1/L2 certificate decided an instance as
+# one trial
 PINNED_TREES = [
     (("dense", 0.5, 0, None), ("colourable", 55, "773bdfe4830602c5")),
     (("dense", 0.5, 1, None), ("colourable", 52, "e4eb068c5f68916f")),
@@ -288,6 +325,39 @@ PINNED_OBSTRUCTIONS = {
 }
 
 
+# the same instances through find_schur_colouring, where a split colouring
+# (split_witness) decides every colourable dense row as one trial
+PINNED_OUTCOMES = [
+    ("colourable", 1, "8b27db39bcbe49b4"),
+    ("colourable", 1, "058d2cfbeb440d02"),
+    ("colourable", 1, "df503b6fc2c5282c"),
+    ("colourable", 1, "6afa989769cacc4b"),
+    ("colourable", 1, "aa41ae59c3aaf25b"),
+    ("not_colourable", 7, None),
+    ("not_colourable", 1, None),
+    ("colourable", 1, "6afa989769cacc4b"),
+    ("colourable", 1, "9521ef8bdfc9d81d"),
+    ("not_colourable", 1, None),
+    ("not_colourable", 1, None),
+    ("colourable", 1, "e6ff6e13c6be24ce"),
+    ("colourable", 1, "8b27db39bcbe49b4"),
+    ("not_colourable", 1, None),
+    ("not_colourable", 0, None),
+    ("colourable", 10, "88af0e19cef029fb"),
+    ("not_colourable", 14, None),
+    ("colourable", 4, "2684e8988e1e038c"),
+    ("budget_exceeded", 0, None),
+    ("not_colourable", 1, None),
+]
+
+
+def _pinned_outcome(case):
+    kind, x, trial, budget = case
+    s, constraints = _pinned_instance(kind, x, trial)
+    out = find_schur_colouring(s, constraints, DEFAULT_BUDGET if budget is None else budget)
+    return out.status.value, out.nodes_explored, _digest(out.witness)
+
+
 class TestPinnedSearchTree:
     """The search visits the same nodes in the same order as the recursive
     solver it replaced (bar the mirrored half of a free refutation): same
@@ -295,14 +365,16 @@ class TestPinnedSearchTree:
     deletion-order obstructions."""
 
     @pytest.mark.parametrize("case,expected", PINNED_TREES)
-    def test_solve(self, case, expected):
-        kind, x, trial, budget = case
-        s, constraints = _pinned_instance(kind, x, trial)
-        if budget is None:
-            out = find_schur_colouring(s, constraints)
-        else:
-            out = find_schur_colouring(s, constraints, budget)
-        assert (out.status.value, out.nodes_explored, _digest(out.witness)) == expected
+    def test_solve(self, case, expected, monkeypatch):
+        # the certificate and the search alone: no split colouring
+        monkeypatch.setattr(solver_module, "split_witness", lambda s: None)
+        assert _pinned_outcome(case) == expected
+
+    @pytest.mark.parametrize(
+        "case,expected", [(case, out) for (case, _), out in zip(PINNED_TREES, PINNED_OUTCOMES)]
+    )
+    def test_find_schur_colouring(self, case, expected):
+        assert _pinned_outcome(case) == expected
 
     @pytest.mark.parametrize("trial", sorted(PINNED_OBSTRUCTIONS))
     def test_minimal_obstruction(self, trial):
@@ -585,6 +657,10 @@ def _sweep_dense_trials(seed: int = 11, trials: int = 390):
     ]
 
 
+def _subsets_of_12():
+    return [IntSet(12, [i + 1 for i in range(12) if mask >> i & 1]) for mask in range(1 << 12)]
+
+
 def _dense_corpus():
     """22 seeded trials of dense0:300,15 and of dense0:120,6 at each of
     th/8, th/4, ..., 8 th."""
@@ -679,9 +755,169 @@ class TestCertificate:
         assert constrained.nodes_explored > 1  # searched: not every element is free
 
     @pytest.mark.parametrize(
-        "corpus", [_dense_corpus, _sweep_dense_trials, _criterion3_configs]
+        "corpus", [_dense_corpus, _sweep_dense_trials, _criterion3_configs, _subsets_of_12]
     )
     def test_same_status_as_search(self, corpus):
+        """find_schur_colouring, with its certificate, split colouring and
+        sum-free shortcut, gives the plain search's status."""
         for s in corpus():
             plain = _solve_edges(s.elements(), hosting_sets(s), ColourConstraint.free(), DEFAULT_BUDGET)
             assert find_schur_colouring(s).status is plain.status
+
+
+def _proper(s: IntSet, colouring: Colouring) -> bool:
+    """No hosting set of s is monochromatic, checked edge by edge."""
+    return all(len({colouring.assignment[v] for v in e}) == 2 for e in hosting_sets(s))
+
+
+def _mask_sum_free(mask: int) -> bool:
+    """No x + y = z in the set of mask: for each x, no y with both y and
+    x + y in it."""
+    return not any((mask >> x) & mask for x in range(1, mask.bit_length()) if mask >> x & 1)
+
+
+def _witness_corpus():
+    return _sweep_dense_trials() + _subsets_of_12() + _criterion3_configs()
+
+
+class TestSplitWitness:
+    """Every split colouring is proper. The constraints of _extend are
+    complete (every colouring it builds passes the sum-free gate) and no
+    stronger than needed (it finds a colouring whenever one exists), and
+    the gate rejects a wrong extension."""
+
+    def test_extensions_pass_the_gate(self, monkeypatch):
+        built = []
+
+        def gate(*classes):
+            built.append(all(_mask_sum_free(c.mask) for c in classes))
+            return True
+
+        monkeypatch.setattr(solver_module, "_classes_sum_free", gate)
+        for s in _witness_corpus():
+            split_witness(s)
+        assert all(built)
+        assert len(built) > 3000
+
+    def test_witnesses_proper(self):
+        found = 0
+        for s in _witness_corpus():
+            w = split_witness(s)
+            if w is not None:
+                found += 1
+                assert sorted(w.assignment) == s.elements()
+                assert _proper(s, w)
+                assert validate_colouring(s, w) == []
+        assert found > 3000
+
+    def test_decides_most_colourable_sweep_trials(self):
+        decided = colourable = 0
+        for s in _sweep_dense_trials():
+            if find_schur_colouring(s).status is Status.COLOURABLE:
+                colourable += 1
+                decided += split_witness(s) is not None
+        assert (colourable, decided) == (828, 824)
+
+    def test_extension_agrees_with_enumeration(self):
+        """Random sum-free cores inside [1, 16] and up to 5 low elements
+        anywhere else, so that low elements also lie above core elements."""
+        rng = random.Random(11)
+        extended = refuted = 0
+        for _ in range(3000):
+            cores = [0, 0]
+            for v in rng.sample(range(1, 17), rng.randint(0, 10)):
+                c = rng.randrange(2)
+                if _mask_sum_free(cores[c] | 1 << v):
+                    cores[c] |= 1 << v
+            rest = [v for v in range(1, 17) if not (cores[0] | cores[1]) >> v & 1]
+            low = sum(1 << v for v in rng.sample(rest, min(len(rest), rng.randint(1, 5))))
+            q = [v for v in range(17) if low >> v & 1]
+            exists = any(
+                all(_mask_sum_free(cores[c] | sum(1 << v for v, b in zip(q, bits) if b == c)) for c in (0, 1))
+                for bits in itertools.product((0, 1), repeat=len(q))
+            )
+            codes = _extend(low, tuple(cores))
+            assert (codes is not None) is exists
+            if codes is not None:
+                extended += 1
+                classes = [cores[c] | sum(1 << v for v, b in codes.items() if b == c) for c in (0, 1)]
+                assert sorted(codes) == q and all(map(_mask_sum_free, classes))
+            else:
+                refuted += 1
+        assert extended > 500 and refuted > 500
+
+    def test_gate_rejects_a_wrong_extension(self, monkeypatch):
+        def all_blue(low, cores):
+            return {x: 0 for x in range(low.bit_length()) if low >> x & 1}
+
+        monkeypatch.setattr(solver_module, "_extend", all_blue)
+        for s in _sweep_dense_trials()[::10]:
+            w = split_witness(s)
+            assert w is None or _proper(s, w)
+
+    def test_caps(self, monkeypatch):
+        s = _sweep_dense_trials()[0]
+        assert split_witness(s) is not None
+        monkeypatch.setattr(solver_module, "SPLIT_POINTS", 0)
+        assert split_witness(s) is None
+        assert find_schur_colouring(s).nodes_explored > 1
+
+    def test_witness_counts_one_trial(self):
+        s = _sweep_dense_trials()[0]
+        assert split_witness(s) is not None
+        out = find_schur_colouring(s, budget=1)
+        assert (out.status, out.nodes_explored) == (Status.COLOURABLE, 1)
+        assert find_schur_colouring(s, budget=0).status is Status.BUDGET_EXCEEDED
+        constrained = find_schur_colouring(s, ColourConstraint.force_blue([300]))
+        assert constrained.nodes_explored > 1  # searched: not every element is free
+
+    def test_small_sets(self):
+        for s in (IntSet(1), IntSet(1, [1]), IntSet(2, [1, 2]), IntSet(3, [2, 3])):
+            w = split_witness(s)
+            assert w is None or _proper(s, w)
+
+
+def _sum_free_instances():
+    """Sum-free sets with assorted colour constraints and budgets."""
+    rng = random.Random(5)
+    out = []
+    for n in (1, 7, 30, 301):
+        odd = odd_set(n)
+        out += [(odd, None, DEFAULT_BUDGET), (odd, None, 0)]
+    for _ in range(60):
+        n = rng.randint(1, 60)
+        mask = 0
+        for v in rng.sample(range(1, n + 1), rng.randint(0, n)):
+            if _mask_sum_free(mask | 1 << v):
+                mask |= 1 << v
+        s = IntSet(n, [v for v in range(1, n + 1) if mask >> v & 1])
+        allowed = {
+            v: frozenset(rng.choice([(RED,), (BLUE,), (RED, BLUE), ()]))
+            for v in rng.sample(range(1, n + 1), rng.randint(0, min(n, 3)))
+        }
+        out.append((s, ColourConstraint(allowed), rng.choice([0, 1, DEFAULT_BUDGET])))
+    return out
+
+
+class TestSumFree:
+    """A sum-free set gets the search's answer on no edges, with no
+    hypergraph built."""
+
+    @pytest.mark.parametrize("case", _sum_free_instances())
+    def test_same_outcome_as_search(self, case, monkeypatch):
+        s, constraints, budget = case
+        assert is_sum_free(s)
+        elems, mapped = _hosting_instance(s)
+        assert mapped == []
+        expected = _solve_mapped(elems, _allowed(elems, constraints or ColourConstraint()), mapped, budget)
+
+        def unexpected(_):
+            raise AssertionError("hypergraph built for a sum-free set")
+
+        monkeypatch.setattr(solver_module, "_hosting_instance", unexpected)
+        out = find_schur_colouring(s, constraints, budget)
+        assert (out.status, out.nodes_explored, out.witness) == (
+            expected.status,
+            expected.nodes_explored,
+            expected.witness,
+        )
