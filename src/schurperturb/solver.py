@@ -32,11 +32,12 @@ A copy found is checked to lie in the set and, by trying all 2^11
 colourings, to be uncolourable; it then decides the set NOT_COLOURABLE.
 Failing that, `split_witness` colours the top of the set as the paper's
 lower-bound colourings do, an interval split into a blue and a red part,
-and the few elements below by a small search; a colouring whose two classes
-pass `is_sum_free` decides the set COLOURABLE. Either decision costs one
-trial (`nodes_explored` 1) and no hypergraph. Both are work-capped
-(CERTIFICATE_CELLS; SPLIT_POINTS, SPLIT_LOW, SPLIT_TRIALS), whatever the
-input; when neither decides, the search runs with its full budget.
+and each of the few elements below by the one colour that the two parts
+leave it; a colouring whose two classes pass `is_sum_free` decides the set
+COLOURABLE. Either decision costs one trial (`nodes_explored` 1) and no
+hypergraph. Both are work-capped (CERTIFICATE_CELLS; SPLIT_POINTS,
+SPLIT_LOW), whatever the input; when neither decides, the search runs with
+its full budget.
 
 Each coloured element records the edge that forced it. A search that ends
 NOT_COLOURABLE also returns an unsat core: the union of its conflict cones,
@@ -378,7 +379,7 @@ def find_schur_colouring(
         raise ValueError("budget must be >= 0")
     if constraints is None:
         constraints = ColourConstraint.free()
-    if _sum_free(s):
+    if is_sum_free(s):
         elems, mapped = s.elements(), []  # no hosting set
     else:
         free = all(c == BOTH for e, c in constraints.allowed.items() if e in s)
@@ -390,14 +391,6 @@ def find_schur_colouring(
                 return SolveOutcome(Status.COLOURABLE, witness, 1)
         elems, mapped = _hosting_instance(s)
     return _solve_mapped(elems, _allowed(elems, constraints), mapped, budget)
-
-
-def _sum_free(s: IntSet) -> bool:
-    """is_sum_free(s), first ruling out a sum a + y = z with a = min(s)
-    by one shift of the mask."""
-    mask = s.mask
-    a = (mask & -mask).bit_length() - 1
-    return not (mask and (mask >> a) & mask) and is_sum_free(s)
 
 
 def is_schur(s: IntSet, budget: int = DEFAULT_BUDGET) -> SchurStatus:
@@ -521,16 +514,15 @@ def _certified(mask: int, values: list[int]) -> bool:
     return all(v >= 1 and (mask >> v) & 1 for v in values) and _uncolourable(values)
 
 
-# Work caps of split_witness: the split points it tries, the most elements
-# below a split's blue part (coloured by search), and the colour trials of
-# that search. On the 1,170 seed-11 sweep_dense trials (dense0:300,15) the
-# splits decided 824 of the 828 colourable ones, at 0.25 ms per decided and
-# 0.36 ms per undecided trial; on dense0:100000,1000 at th/2, 13 of 20
-# trials in under 0.1 s each (2-core x86 machine). The search cap is never
-# reached there: every low element allows one colour.
+# Work caps of split_witness: the split points it tries and the most
+# elements below a split's blue part (coloured by _extend). On the 1,170
+# seed-11 sweep_dense trials (dense0:300,15) the splits decided 824 of the
+# 828 colourable ones, at 0.2-0.3 ms per trial, decided or not; on
+# dense0:100000,1000 at th/2, 13 of 20 trials in under 0.1 s each (2-core
+# x86 machine). On both, no split left a low element free to take either
+# colour, the one case _extend does not colour.
 SPLIT_POINTS = 16
 SPLIT_LOW = 24
-SPLIT_TRIALS = 64
 
 
 def split_witness(s: IntSet) -> Colouring | None:
@@ -560,75 +552,46 @@ def split_witness(s: IntSet) -> Colouring | None:
         low = mask & ((1 << low_end) - 1)
         red = mask >> (m + 1) << (m + 1)
         blue = mask ^ red ^ low
-        codes = _extend(low, (blue, red))
-        if codes is None:
+        extension = _extend(low, (blue, red))
+        if extension is None:
             continue
-        for x, c in codes.items():
-            if c == _CODE[BLUE]:
-                blue |= 1 << x
-            else:
-                red |= 1 << x
+        blue |= extension[0]
+        red |= extension[1]
         if _classes_sum_free(IntSet._from_mask(s.n, red), IntSet._from_mask(s.n, blue)):
             is_red = mask_bits(red)[elems].tolist()  # red holds max(s)
             return Colouring(dict(zip(elems.tolist(), (_NAME[c] for c in is_red))))
     return None
 
 
-def _extend(low: int, cores: tuple[int, int]) -> dict[int, int] | None:
-    """Colour codes for the elements of the mask low, such that adding
-    each to the core of its code (cores[0] blue, cores[1] red, disjoint
-    from low and both sum-free) leaves both classes sum-free; None when the
-    search finds none within SPLIT_TRIALS trials.
+def _extend(low: int, cores: tuple[int, int]) -> tuple[int, int] | None:
+    """The elements of the mask low split into two masks, such that adding
+    each part to its core (cores[0] blue, cores[1] red, disjoint from low
+    and both sum-free) leaves both classes sum-free; None when some element
+    allows no colour or both, or that colouring fails.
 
     Every sum x + y = z inside one class with some of x, y, z in low
     becomes a constraint on low alone (K = cores[c]):
     - x in low never has colour c when x in K - K, x in K + K or 2x in K;
     - x < y in low are not both c when x + y in K or y - x in K;
     - x + y = z inside low (x = y included) is not monochromatic.
-    The search is _search, with a vertex allowed only c closing each
-    "not both c" pair into the 3-edge (x, y, that vertex).
+    The first gives each element its allowed colours. When every element
+    allows exactly one, that colouring is the only candidate, and the other
+    two are checked on it by mask tests.
     """
     q = np.flatnonzero(mask_bits(low)).tolist()
-    allowed = []
-    can = [0, 0]  # the elements of low that allow colour c
+    codes = []
+    classes = [0, 0]  # the elements of low given colour c
     for x in q:
-        codes = tuple(c for c, k in enumerate(cores) if not _unary_forbidden(x, k))
-        if not codes:
+        allowed = [c for c, k in enumerate(cores) if not _unary_forbidden(x, k)]
+        if len(allowed) != 1:
             return None
-        for c in codes:
-            can[c] |= 1 << x
-        allowed.append(codes)
-    # Elements that allow one colour take it; a constraint broken among
-    # them alone refutes the split before any search.
-    forced = (can[0] & ~can[1], can[1] & ~can[0])
-    for x, codes in zip(q, allowed):
-        if len(codes) == 1:
-            f = forced[codes[0]]
-            if (_pair_mask(x, cores[codes[0]]) | f >> x) & f:
-                return None
-    if not can[0] & can[1]:
-        return {x: codes[0] for x, codes in zip(q, allowed)}
-    index = {x: i for i, x in enumerate(q)}
-    allowed += [(0,), (1,)]  # vertex len(q) + c allows only c
-    edges = []
-    for i, x in enumerate(q):
-        above = low & ~((2 << x) - 1)
-        for c in allowed[i]:
-            pairs = _pair_mask(x, cores[c]) & above & can[c]
-            while pairs:
-                y = pairs.bit_length() - 1
-                pairs ^= 1 << y
-                edges.append((i, index[y], len(q) + c))
-        sums = (low >> x) & low & ~((1 << x) - 1)  # y >= x with x + y in low
-        while sums:
-            y = sums.bit_length() - 1
-            sums ^= 1 << y
-            z = index[x + y]
-            edges.append((i, z) if y == x else (i, index[y], z))
-    status, colour, _, _ = _search(allowed, edges, SPLIT_TRIALS)
-    if status is not Status.COLOURABLE:
-        return None
-    return {x: c if c >= 0 else allowed[i][0] for i, (x, c) in enumerate(zip(q, colour))}
+        codes.append(allowed[0])
+        classes[allowed[0]] |= 1 << x
+    for x, c in zip(q, codes):
+        f = classes[c]
+        if (_pair_mask(x, cores[c]) | f >> x) & f:
+            return None
+    return classes[0], classes[1]
 
 
 def _pair_mask(x: int, k: int) -> int:

@@ -260,6 +260,17 @@ class TestSumFreeAgainstReference:
             x = min(s)
             assert is_sum_free(s.with_element(2 * x)) is ref_is_sum_free(s.with_element(2 * x)) is False
 
+    def test_sum_avoiding_the_minimum(self):
+        # 1 is in no sum, so the one-shift test on min(s) passes these sets
+        # on and the pair finder (sparse) or the transform (dense) decides
+        n = self.N
+        top_odd = list(range(n // 2 + 1, n + 1, 2))
+        for members, summand in (([1, 1000, 3000], 4000), ([1] + top_odd, 20000)):
+            s = IntSet(n, members)
+            assert is_sum_free(s) is ref_is_sum_free(s) is True
+            t = s.with_element(summand)
+            assert is_sum_free(t) is ref_is_sum_free(t) is False
+
     def test_just_past_one_block(self):
         b = intset.FFT_BLOCK
         n = b + 10
