@@ -28,6 +28,7 @@ from .solver import (
     SchurStatus,
     SolveOutcome,
     Status,
+    VERDICT,
     check_hmin_properties,
     find_loose_cycle,
     find_schur_colouring,
@@ -69,7 +70,6 @@ from .bounds import (
     wicket_delta_bound,
 )
 from .colouring_hypergraph import (
-    Compatibility,
     ContainerLike,
     HAStats,
     build_HA,

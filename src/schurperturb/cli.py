@@ -14,7 +14,6 @@ import math
 import os
 import random
 import sys
-from collections.abc import Callable
 from itertools import combinations
 
 from .bounds import triple_moments
@@ -36,8 +35,6 @@ from .montecarlo import (
     theoretical_thresholds,
 )
 from .solver import (
-    BLUE,
-    RED,
     ColourConstraint,
     Colouring,
     DEFAULT_BUDGET,
@@ -64,17 +61,15 @@ class UsageError(ValueError):
     pass
 
 
-def _construction(
-    name: str, n: int | None
-) -> tuple[IntSet, Callable[[], Colouring | None]]:
-    """A named construction's set, and a thunk for the colouring it defines
-    (None when it defines none); the dense colouring is slow to build."""
+def _construction(name: str, n: int | None) -> tuple[IntSet, Colouring | None]:
+    """A named construction's set, and the colouring it defines (None when
+    it defines none)."""
     obj = construct_by_name(name, n)
     if isinstance(obj, tuple):  # (set, colouring)
-        return obj[0], lambda: obj[1]
+        return obj
     if isinstance(obj, DenseZeroStatement):
-        return obj.A, lambda: obj.colouring_for(obj.A)
-    return obj, lambda: None
+        return obj.A, obj.colouring_for(obj.A)
+    return obj, None
 
 
 def parse_set(text: str, n: int | None = None) -> IntSet:
@@ -136,17 +131,6 @@ def curve_plotdata(curve: SweepCurve) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def emit_records(curve: SweepCurve, fmt: str) -> str:
-    """Bit-stable serialization of a sweep in the requested format."""
-    if fmt == "json":
-        return curve.to_json() + "\n"
-    if fmt == "csv":
-        return curve_csv(curve)
-    if fmt == "plotdata":
-        return curve_plotdata(curve)
-    raise UsageError(f"unknown format {fmt!r}")
-
-
 def _write(path: str, text: str) -> None:
     try:
         with open(path, "w", newline="\n") as fh:
@@ -161,7 +145,7 @@ def _write(path: str, text: str) -> None:
 def cmd_check_schur(args) -> int:
     s = parse_set(args.set, args.n)
     verdict = is_schur(s, args.budget)
-    print(verdict.name.title().replace("_", ""))
+    print(verdict.value)
     return EXIT_BUDGET if verdict is SchurStatus.UNKNOWN else EXIT_OK
 
 
@@ -175,24 +159,17 @@ def _load_container(path: str) -> ContainerLike:
 
 def cmd_colour(args) -> int:
     s = parse_set(args.set, args.n)
-    allowed: dict[int, frozenset[str]] = {}
+    constraint = ColourConstraint()
     if args.container:
-        c = _load_container(args.container)
-        for e in s:
-            cols = frozenset(
-                col
-                for col, side in ((RED, c.red_side), (BLUE, c.blue_side))
-                if e in side
-            )
-            allowed[e] = cols
-    if args.force_blue:
-        for e in parse_set(args.force_blue, s.n):
-            allowed[e] = frozenset((BLUE,))
-    outcome = find_schur_colouring(s, ColourConstraint(allowed), args.budget)
+        constraint = _load_container(args.container).constraint()
+    if args.force_blue:  # overrides the container
+        blue = parse_set(args.force_blue, s.n).mask
+        constraint = ColourConstraint(constraint.no_red | blue, constraint.no_blue & ~blue)
+    outcome = find_schur_colouring(s, constraint, args.budget)
     result = {"status": outcome.status.value, "nodes": outcome.nodes_explored}
     if outcome.witness is not None:
-        result["red"] = sorted(outcome.witness.red())
-        result["blue"] = sorted(outcome.witness.blue())
+        result["red"] = outcome.witness.red.elements()
+        result["blue"] = outcome.witness.blue.elements()
     print(json.dumps(result, sort_keys=True))
     if outcome.status is Status.BUDGET_EXCEEDED:
         return EXIT_BUDGET
@@ -200,12 +177,11 @@ def cmd_colour(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    s, colouring_of = _construction(args.name, args.n)
-    colouring = colouring_of()
+    s, colouring = _construction(args.name, args.n)
     out = {"n": s.n, "set": s.to_runs(), "size": len(s)}
     if colouring is not None:
-        out["red"] = sorted(colouring.red())
-        out["blue"] = sorted(colouring.blue())
+        out["red"] = colouring.red.elements()
+        out["blue"] = colouring.blue.elements()
     if args.validate:
         if colouring is None:
             raise UsageError(f"construction {args.name!r} carries no colouring")
@@ -315,11 +291,11 @@ def cmd_sweep(args) -> int:
         base=base_name,
     )
     if args.out:
-        _write(args.out + ".json", emit_records(curve, "json"))
-        _write(args.out + ".csv", emit_records(curve, "csv"))
-        _write(args.out + ".plot", emit_records(curve, "plotdata"))
+        _write(args.out + ".json", curve.to_json() + "\n")
+        _write(args.out + ".csv", curve_csv(curve))
+        _write(args.out + ".plot", curve_plotdata(curve))
     else:
-        sys.stdout.write(emit_records(curve, "json"))
+        sys.stdout.write(curve.to_json() + "\n")
     return EXIT_OK
 
 

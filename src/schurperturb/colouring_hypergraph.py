@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from enum import Enum
 from itertools import combinations
 
 import numpy as np
 
 from .intset import IntSet, count_ordered_triples
-from .solver import BLUE, RED, ColourConstraint, Status, find_schur_colouring
+from .solver import BLUE, RED, ColourConstraint, SolveOutcome, find_schur_colouring
 
 Edge = tuple[frozenset[int], frozenset[int], tuple[int, ...]]
 
@@ -242,6 +241,10 @@ class ContainerLike:
     red_side: IntSet
     blue_side: IntSet
 
+    def constraint(self) -> ColourConstraint:
+        """Each colour barred outside its side, above n included."""
+        return ColourConstraint(no_red=~self.red_side.mask, no_blue=~self.blue_side.mask)
+
     @classmethod
     def from_json_dict(cls, data: dict) -> "ContainerLike":
         n = data["n"]
@@ -287,39 +290,12 @@ def container_case(c: ContainerLike, epsilon: float) -> str:
     return "CaseIII"
 
 
-class Compatibility(Enum):
-    COMPATIBLE = "compatible"
-    INCOMPATIBLE = "incompatible"
-    UNKNOWN = "unknown"
-
-
-@dataclass
-class CompatibilityOutcome:
-    status: Compatibility
-    witness: object | None  # Colouring when compatible
-
-
 def is_compatible(
     a_set: IntSet, p_set: IntSet, c: ContainerLike, budget: int = 10**7
-) -> CompatibilityOutcome:
-    """Does some Schur colouring of a_set u p_set fit inside the container?"""
-    union = a_set.union(p_set)
-    allowed: dict[int, frozenset[str]] = {}
-    for e in union:
-        cols = set()
-        if e in c.red_side:
-            cols.add(RED)
-        if e in c.blue_side:
-            cols.add(BLUE)
-        if not cols:
-            return CompatibilityOutcome(Compatibility.INCOMPATIBLE, None)
-        allowed[e] = frozenset(cols)
-    outcome = find_schur_colouring(union, ColourConstraint(allowed), budget)
-    if outcome.status is Status.COLOURABLE:
-        return CompatibilityOutcome(Compatibility.COMPATIBLE, outcome.witness)
-    if outcome.status is Status.NOT_COLOURABLE:
-        return CompatibilityOutcome(Compatibility.INCOMPATIBLE, None)
-    return CompatibilityOutcome(Compatibility.UNKNOWN, None)
+) -> SolveOutcome:
+    """Does some Schur colouring of a_set u p_set fit inside the container?
+    COLOURABLE with such a colouring, NOT_COLOURABLE when none exists."""
+    return find_schur_colouring(a_set.union(p_set), c.constraint(), budget)
 
 
 def claim48_density_witness(c: ContainerLike) -> tuple[int, str] | None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 
 from .intset import IntSet, l1_values, l2_values
 from .solver import BLUE, RED, Colouring
@@ -35,8 +36,8 @@ def mod5_construction(n: int) -> tuple[IntSet, Colouring]:
     if n < 5:
         raise ValueError("n must be >= 5")
     a = IntSet(n, (x for x in range(1, n + 1) if x % 5 != 0))
-    assignment = {x: (RED if x % 5 in (1, 4) else BLUE) for x in a}
-    return a, Colouring(assignment)
+    red = IntSet(n, chain(range(1, n + 1, 5), range(4, n + 1, 5)))
+    return a, Colouring(red, a.difference(red))
 
 
 @dataclass(frozen=True)
@@ -54,8 +55,8 @@ class DenseZeroStatement:
         return BLUE if e in self.B else RED
 
     def colouring_for(self, s: IntSet) -> Colouring:
-        blue = set(self.B)  # colour_rule, with a hash lookup per element
-        return Colouring({e: BLUE if e in blue else RED for e in s})
+        """colour_rule on s."""
+        return Colouring(s.difference(self.B), s.intersection(self.B))
 
     def c_difference_count(self) -> int:
         """Number of possible differences within the interval C."""

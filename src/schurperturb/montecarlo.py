@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .intset import IntSet
-from .solver import DEFAULT_BUDGET, Status, find_schur_colouring
+from .solver import DEFAULT_BUDGET, VERDICT, find_schur_colouring
 
 _BLOCK = 4096
 
@@ -150,27 +150,18 @@ def sample_perturbation(n: int, p: float, rng: RngSpec, trial_index: int) -> Int
     return IntSet(n, elems)
 
 
-def _decide(s: IntSet, budget: int) -> tuple[str, int]:
-    outcome = find_schur_colouring(s, None, budget)
-    if outcome.status is Status.NOT_COLOURABLE:
-        return "Schur", outcome.nodes_explored
-    if outcome.status is Status.COLOURABLE:
-        return "NotSchur", outcome.nodes_explored
-    return "Unknown", outcome.nodes_explored
-
-
 def _run_one(args) -> TrialRecord:
     mask, n, p, master_seed, trial_index, budget = args
     started = time.perf_counter()
     perturb = sample_perturbation(n, p, RngSpec(master_seed), trial_index)
     union = IntSet._from_mask(n, mask).union(perturb)
-    outcome, nodes = _decide(union, budget)
+    outcome = find_schur_colouring(union, None, budget)
     return TrialRecord(
         trial_index=trial_index,
         p=p,
         sample_size=len(perturb),
-        outcome=outcome,
-        nodes_explored=nodes,
+        outcome=VERDICT[outcome.status].value,
+        nodes_explored=outcome.nodes_explored,
         wall_time=time.perf_counter() - started,
     )
 

@@ -52,8 +52,10 @@ never searches, so it never uses budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import dataclass
 from enum import Enum
+from itertools import compress
 
 import numpy as np
 
@@ -72,7 +74,6 @@ from .intset import (
 
 RED = "R"
 BLUE = "B"
-BOTH = frozenset((RED, BLUE))
 
 DEFAULT_BUDGET = 10**7
 
@@ -84,34 +85,46 @@ class Status(Enum):
 
 
 class SchurStatus(Enum):
-    SCHUR = "schur"
-    NOT_SCHUR = "not_schur"
-    UNKNOWN = "unknown"
+    SCHUR = "Schur"
+    NOT_SCHUR = "NotSchur"
+    UNKNOWN = "Unknown"
+
+
+# The verdict on a set from the status of its colouring search.
+VERDICT = {
+    Status.NOT_COLOURABLE: SchurStatus.SCHUR,
+    Status.COLOURABLE: SchurStatus.NOT_SCHUR,
+    Status.BUDGET_EXCEEDED: SchurStatus.UNKNOWN,
+}
 
 
 @dataclass(frozen=True)
 class Colouring:
-    assignment: dict[int, str]
+    """A 2-colouring as its two colour classes, which must be disjoint."""
 
-    def red(self) -> set[int]:
-        return {e for e, c in self.assignment.items() if c == RED}
+    red: IntSet
+    blue: IntSet
 
-    def blue(self) -> set[int]:
-        return {e for e, c in self.assignment.items() if c == BLUE}
+    def __post_init__(self):
+        if self.red.mask & self.blue.mask:
+            raise ValueError("colour classes overlap")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ColourConstraint:
-    """Per-element allowed-colour sets; elements not listed allow both."""
+    """Masks of the elements barred from red and from blue: an element in
+    neither allows both colours, one in both allows none. A negative mask
+    (~m) bars every element outside m."""
 
-    allowed: dict[int, frozenset[str]] = field(default_factory=dict)
-
-    def colours_for(self, e: int) -> frozenset[str]:
-        return self.allowed.get(e, BOTH)
+    no_red: int = 0
+    no_blue: int = 0
 
     @classmethod
-    def force_blue(cls, elems) -> "ColourConstraint":
-        return cls({e: frozenset((BLUE,)) for e in elems})
+    def force_blue(cls, elems: IntSet | Iterable[int]) -> "ColourConstraint":
+        if not isinstance(elems, IntSet):
+            elems = list(elems)
+            elems = IntSet(max(elems, default=1), elems)
+        return cls(no_red=elems.mask)
 
     @classmethod
     def free(cls) -> "ColourConstraint":
@@ -135,28 +148,21 @@ class SolveOutcome:
     nodes_explored: int
 
 
-# Colour codes inside the search: sorted((BLUE, RED)) order, so code 0 is
-# tried first at every branch.
-_CODE = {BLUE: 0, RED: 1}
-_NAME = (BLUE, RED)
+def _allowed(s: IntSet, constraints: ColourConstraint) -> list[tuple[int, ...]]:
+    """Each vertex's allowed colour codes, vertex i being the i-th smallest
+    element of s. Code 0 is blue and 1 red, so blue is tried first at every
+    branch."""
+    no_red, no_blue = constraints.no_red & s.mask, constraints.no_blue & s.mask
+    if not no_red | no_blue:
+        return [(0, 1)] * len(s)
+    member = indicator(s)
 
+    def barred(mask: int) -> np.ndarray:
+        bits = mask_bits(mask)
+        return np.pad(bits, (0, member.size - bits.size))[member]
 
-def _codes(colours: frozenset[str]) -> tuple[int, ...]:
-    unknown = colours - BOTH
-    if unknown:
-        raise ValueError(f"unknown colours {sorted(unknown)}")
-    return tuple(sorted(_CODE[c] for c in colours))
-
-
-def _allowed(elems: list[int], constraints: ColourConstraint) -> list[tuple[int, ...]]:
-    """Each vertex's allowed colour codes, vertex i being elems[i]."""
-    allowed = [_codes(BOTH)] * len(elems)
-    if constraints.allowed:
-        index = {e: i for i, e in enumerate(elems)}
-        for e, colours in constraints.allowed.items():
-            if e in index:
-                allowed[index[e]] = _codes(colours)
-    return allowed
+    choices = ((0, 1), (1,), (0,), ())  # by 2 * (red barred) + (blue barred)
+    return [choices[k] for k in (2 * barred(no_red) + barred(no_blue)).tolist()]
 
 
 def _hosting_instance(s: IntSet) -> tuple[list[int], list[tuple[int, ...]]]:
@@ -177,8 +183,10 @@ def _search(
 ) -> tuple[Status, list[int], int, list[int]]:
     """Explicit-stack search over vertex indices 0..V-1, V = len(allowed).
 
-    Returns (status, colour code per vertex or -1 if uncoloured, nodes,
-    core). Each edge keeps how many of its vertices are coloured 0 and 1.
+    Returns (status, colour code per vertex, nodes, core); the colours are
+    partial (-1 for uncoloured) unless the status is COLOURABLE, when a
+    vertex left uncoloured, all its edges resolved, takes its first allowed
+    colour. Each edge keeps how many of its vertices are coloured 0 and 1.
     key[v] is the number of v's incident edges not yet bichromatic, lowered
     by `coloured` while v is coloured, so the branch vertex (most unresolved
     edges, smallest index on ties) is the first maximum of key.
@@ -292,6 +300,10 @@ def _search(
         core = [i for i, m in enumerate(marked) if m]
         return Status.NOT_COLOURABLE, colour, nodes, core
 
+    def coloured_all(nodes: int) -> tuple[Status, list[int], int, list[int]]:
+        total = [c if c >= 0 else allowed[v][0] for v, c in enumerate(colour)]
+        return Status.COLOURABLE, total, nodes, []
+
     seeds = [(v, a[0], -1) for v, a in enumerate(allowed) if len(a) == 1]
     if not propagate(seeds[::-1]):
         return refuted(0)
@@ -299,7 +311,7 @@ def _search(
     nodes = 0
     v = pick_branch_var()
     if v < 0:
-        return Status.COLOURABLE, colour, nodes, []
+        return coloured_all(nodes)
     # With no one-colour vertex, swapping the colours maps the search below
     # one root colour onto the search below the other, so the root tries
     # only its first colour.
@@ -320,7 +332,7 @@ def _search(
         if propagate([(v, allowed[v][pos], -1)]):
             v = pick_branch_var()
             if v < 0:
-                return Status.COLOURABLE, colour, nodes, []
+                return coloured_all(nodes)
             stack.append([v, 0, len(allowed[v]), len(trail)])
         else:
             undo(mark)
@@ -328,33 +340,30 @@ def _search(
 
 
 def _solve_edges(
-    elems: list[int],
+    s: IntSet,
     edges: list[tuple[int, ...]],
     constraints: ColourConstraint,
     budget: int,
 ) -> SolveOutcome:
-    """Core search over an explicit edge list on the elements elems."""
-    index = {e: i for i, e in enumerate(elems)}
+    """Core search over an explicit edge list on the elements of s."""
+    index = {e: i for i, e in enumerate(s)}
     mapped = [tuple(map(index.__getitem__, edge)) for edge in edges]
-    return _solve_mapped(elems, _allowed(elems, constraints), mapped, budget)
+    return _solve_mapped(s, mapped, constraints, budget)
 
 
 def _solve_mapped(
-    elems: list[int],
-    allowed: list[tuple[int, ...]],
+    s: IntSet,
     mapped: list[tuple[int, ...]],
+    constraints: ColourConstraint,
     budget: int,
 ) -> SolveOutcome:
-    """Search over edges of vertex indices, vertex i being elems[i]."""
-    status, colour, nodes, _ = _search(allowed, mapped, budget)
+    """Search over edges of vertex indices, vertex i being the i-th
+    smallest element of s."""
+    status, colour, nodes, _ = _search(_allowed(s, constraints), mapped, budget)
     if status is not Status.COLOURABLE:
         return SolveOutcome(status, None, nodes)
-    # unconstrained isolated leftovers take their first allowed colour
-    witness = {
-        e: _NAME[c if c >= 0 else allowed[v][0]]
-        for v, (e, c) in enumerate(zip(elems, colour))
-    }
-    return SolveOutcome(status, Colouring(witness), nodes)
+    red = IntSet(s.n, compress(s.elements(), colour))  # code 1 is red
+    return SolveOutcome(status, Colouring(red, s.difference(red)), nodes)
 
 
 def find_schur_colouring(
@@ -380,29 +389,22 @@ def find_schur_colouring(
     if constraints is None:
         constraints = ColourConstraint.free()
     if is_sum_free(s):
-        elems, mapped = s.elements(), []  # no hosting set
-    else:
-        free = all(c == BOTH for e, c in constraints.allowed.items() if e in s)
-        if free and budget >= 1:
-            if schur_certificate(s) is not None:
-                return SolveOutcome(Status.NOT_COLOURABLE, None, 1)
-            witness = split_witness(s)
-            if witness is not None:
-                return SolveOutcome(Status.COLOURABLE, witness, 1)
-        elems, mapped = _hosting_instance(s)
-    return _solve_mapped(elems, _allowed(elems, constraints), mapped, budget)
+        return _solve_mapped(s, [], constraints, budget)  # no hosting set
+    free = not (constraints.no_red | constraints.no_blue) & s.mask
+    if free and budget >= 1:
+        if schur_certificate(s) is not None:
+            return SolveOutcome(Status.NOT_COLOURABLE, None, 1)
+        witness = split_witness(s)
+        if witness is not None:
+            return SolveOutcome(Status.COLOURABLE, witness, 1)
+    return _solve_mapped(s, _hosting_instance(s)[1], constraints, budget)
 
 
 def is_schur(s: IntSet, budget: int = DEFAULT_BUDGET) -> SchurStatus:
     """SCHUR when every 2-colouring of s has a monochromatic hosting set,
     NOT_SCHUR when one has none, UNKNOWN when the budget runs out; decided
     by find_schur_colouring, certificate and split colouring first."""
-    outcome = find_schur_colouring(s, None, budget)
-    if outcome.status is Status.NOT_COLOURABLE:
-        return SchurStatus.SCHUR
-    if outcome.status is Status.COLOURABLE:
-        return SchurStatus.NOT_SCHUR
-    return SchurStatus.UNKNOWN
+    return VERDICT[find_schur_colouring(s, None, budget).status]
 
 
 # Work cap of schur_certificate, in cells: a step d costs max(s) // 64 + 1
@@ -555,61 +557,44 @@ def split_witness(s: IntSet) -> Colouring | None:
         extension = _extend(low, (blue, red))
         if extension is None:
             continue
-        blue |= extension[0]
-        red |= extension[1]
-        if _classes_sum_free(IntSet._from_mask(s.n, red), IntSet._from_mask(s.n, blue)):
-            is_red = mask_bits(red)[elems].tolist()  # red holds max(s)
-            return Colouring(dict(zip(elems.tolist(), (_NAME[c] for c in is_red))))
+        colouring = Colouring(
+            IntSet._from_mask(s.n, red | extension[1]),
+            IntSet._from_mask(s.n, blue | extension[0]),
+        )
+        if _classes_sum_free(colouring.red, colouring.blue):
+            return colouring
     return None
 
 
 def _extend(low: int, cores: tuple[int, int]) -> tuple[int, int] | None:
     """The elements of the mask low split into two masks, such that adding
-    each part to its core (cores[0] blue, cores[1] red, disjoint from low
-    and both sum-free) leaves both classes sum-free; None when some element
-    allows no colour or both, or that colouring fails.
+    each part to its core (cores[0] blue, cores[1] red, both sum-free and
+    every element of each above every element of low) leaves both classes
+    sum-free; None when some element allows no colour or both, or that
+    colouring fails.
 
     Every sum x + y = z inside one class with some of x, y, z in low
-    becomes a constraint on low alone (K = cores[c]):
-    - x in low never has colour c when x in K - K, x in K + K or 2x in K;
-    - x < y in low are not both c when x + y in K or y - x in K;
-    - x + y = z inside low (x = y included) is not monochromatic.
+    becomes a constraint on low alone (K = cores[c]); as K lies above low,
+    x + y = z has z in K or x, y, z all in low, and y - x is never in K:
+    - x in low never has colour c when x in K - K or 2x in K;
+    - x <= y in low are not both c when x + y is in K or is an element of
+      low with colour c.
     The first gives each element its allowed colours. When every element
-    allows exactly one, that colouring is the only candidate, and the other
-    two are checked on it by mask tests.
+    allows exactly one, that colouring is the only candidate, and the
+    second is checked on it by one mask test per element.
     """
     q = np.flatnonzero(mask_bits(low)).tolist()
-    codes = []
     classes = [0, 0]  # the elements of low given colour c
     for x in q:
-        allowed = [c for c, k in enumerate(cores) if not _unary_forbidden(x, k)]
+        allowed = [c for c, k in enumerate(cores) if not ((k >> x) & k or (k >> 2 * x) & 1)]
         if len(allowed) != 1:
             return None
-        codes.append(allowed[0])
         classes[allowed[0]] |= 1 << x
-    for x, c in zip(q, codes):
-        f = classes[c]
-        if (_pair_mask(x, cores[c]) | f >> x) & f:
+    for x in q:
+        c = (classes[1] >> x) & 1  # the colour of x
+        if ((cores[c] | classes[c]) >> x) & classes[c]:
             return None
     return classes[0], classes[1]
-
-
-def _pair_mask(x: int, k: int) -> int:
-    """The y with x + y or y - x in the set of the mask k."""
-    return (k >> x) | (k << x)
-
-
-def _unary_forbidden(x: int, k: int) -> bool:
-    """x in k - k, 2x in k or x in k + k, for the set of the mask k."""
-    if (k >> x) & k or (k >> 2 * x) & 1:
-        return True
-    below = k & ((1 << x) - 1)
-    while below:
-        y = below.bit_length() - 1
-        below ^= 1 << y
-        if (k >> (x - y)) & 1:
-            return True
-    return False
 
 
 def _classes_sum_free(*classes: IntSet) -> bool:
@@ -622,20 +607,13 @@ def validate_colouring(s: IntSet, c: Colouring) -> list[tuple[int, ...]]:
     """The monochromatic hosting sets of s under c; empty iff c is Schur.
     The hosting sets are enumerated only when a colour class of s is not
     sum-free (_classes_sum_free)."""
-    missing = [e for e in s if e not in c.assignment]
+    missing = s.difference(c.red.union(c.blue))
     if missing:
-        raise ValueError(f"colouring misses elements {missing[:5]}")
-    classes: dict[str, list[int]] = {}
-    for e in s:
-        classes.setdefault(c.assignment[e], []).append(e)
-    if _classes_sum_free(*(IntSet(s.n, members) for members in classes.values())):
+        raise ValueError(f"colouring misses elements {missing.elements()[:5]}")
+    red = s.intersection(c.red)
+    if _classes_sum_free(red, s.intersection(c.blue)):
         return []
-    bad = []
-    for edge in hosting_sets(s):
-        colours = {c.assignment[v] for v in edge}
-        if len(colours) == 1:
-            bad.append(edge)
-    return bad
+    return [edge for edge in hosting_sets(s) if len({v in red for v in edge}) == 1]
 
 
 @dataclass
@@ -673,7 +651,7 @@ def minimal_obstruction(
     if constraints is None:
         constraints = ColourConstraint.free()
     elems, mapped = _hosting_instance(s)
-    allowed = _allowed(elems, constraints)
+    allowed = _allowed(s, constraints)
     status, _, total_nodes, core = _search(allowed, mapped, budget)
     if status is not Status.NOT_COLOURABLE:
         return ObstructionResult(status, None, total_nodes)
@@ -719,9 +697,8 @@ def _rotate(
     necessary: list[bool],
 ) -> None:
     """Recursive model rotation from necessary edge e, whose search witness
-    colour (-1 for free vertices) colours every kept edge but e properly.
-    Marks in `necessary` every edge the rotations prove necessary."""
-    colour = [c if c >= 0 else allowed[v][0] for v, c in enumerate(colour)]
+    colour colours every kept edge but e properly. Marks in `necessary`
+    every edge the rotations prove necessary."""
     todo = [(e, colour)]  # (the one monochromatic kept edge, its colouring)
     while todo:
         e, colour = todo.pop()

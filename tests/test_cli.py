@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -9,7 +10,7 @@ from schurperturb.cli import (
     EXIT_VIOLATION,
     cli_dispatch,
     curve_csv,
-    emit_records,
+    curve_plotdata,
     parse_set,
     wilson_interval,
 )
@@ -22,6 +23,64 @@ def run(capsys, *argv):
     code = cli_dispatch(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+# Containers and a sweep config for the golden corpus: "gap" leaves 12 on
+# neither side; "split" makes 9 and 10 red-only, which --force-blue overrides.
+GOLDEN_FILES = {
+    "gap": {"n": 12, "red": list(range(1, 7)), "blue": list(range(5, 12))},
+    "split": {"n": 12, "red": list(range(1, 11)), "blue": list(range(1, 9)) + [11, 12]},
+    "sweep": {
+        "n": 300,
+        "base": "construct:dense0:300,15",
+        "p_grid": [0.0111, 0.0223, 0.0335],
+        "trials": 20,
+        "seed": 11,
+        "budget": 100000,
+    },
+}
+
+# argv (file placeholders in braces) -> (exit code, sha256 of stdout, first
+# 16 hex digits)
+GOLDEN = [
+    (("check-schur", "1-5"), 0, "c3ceb62598001cd5"),
+    (("check-schur", "1-4"), 0, "f7e051004cfd67fb"),
+    (("check-schur", "1-13", "--budget", "0"), 3, "c80c3db2b2cb606b"),
+    (("check-schur", "construct:mod5", "--n", "40"), 0, "f7e051004cfd67fb"),
+    (("colour", "1-4"), 0, "037bb2e18d9f585d"),
+    (("colour", "1-5"), 1, "457388af2eb6a792"),
+    (("colour", "2-4,9-10", "--force-blue", "9,10"), 0, "bda5fa5d162be17a"),
+    (("colour", "1-2", "--force-blue", "1,2"), 1, "9c0e950849d0489c"),
+    (("colour", "construct:dense0:300,15"), 0, "487782accb201de7"),
+    (("colour", "1-30", "--budget", "3"), 1, "457388af2eb6a792"),
+    (("colour", "1-30", "--force-blue", "30", "--budget", "1"), 3, "575fe30371a094ec"),
+    (("colour", "1,5-6,9-11", "--container", "{gap}"), 0, "4bb82b901adf169b"),
+    (("colour", "1,5-6,9-12", "--container", "{gap}"), 1, "9c0e950849d0489c"),
+    (("colour", "2-4,9-12", "--container", "{split}", "--force-blue", "9,10"), 0, "3ee2c543e9e915e5"),
+    (("construct", "mod5", "--n", "40"), 0, "50fa3e2fe1d385e3"),
+    (("construct", "mod5", "--n", "2000", "--validate"), 0, "b3eaaf4b115321ca"),
+    (("construct", "dense0:300,15", "--validate"), 0, "07233f106e54678b"),
+    (("construct", "dense0:3000,40"), 0, "3d96a2526e9ddd56"),
+    (("obstruction", "construct:sparse:200,14", "3,50", "--n", "200"), 0, "1916bbd972c6834c"),
+    (("obstruction", "construct:sparse:200,14", "5,10", "--n", "200"), 0, "fc0f8f45308de94a"),
+    (("sweep", "--config", "{sweep}"), 0, "380581e9edb7d94f"),
+    (("verify", "--suite", "hu"), 0, "270a82a6a4c6b389"),
+    (("verify", "--suite", "prop31"), 0, "18aa232c30b5f582"),
+]
+
+
+class TestGoldenCorpus:
+    """Stdout and exit code of a fixed command corpus, recorded before the
+    colourings, constraints and verdicts moved to one representation."""
+
+    @pytest.mark.parametrize("argv,code,digest", GOLDEN)
+    def test_same_output(self, capsys, tmp_path, argv, code, digest):
+        paths = {}
+        for name, body in GOLDEN_FILES.items():
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(body))
+        got, out, _ = run(capsys, *(a.format(**paths) for a in argv))
+        assert (got, hashlib.sha256(out.encode()).hexdigest()[:16]) == (code, digest)
 
 
 class TestParseSet:
@@ -269,10 +328,9 @@ class TestEmission:
 
     def test_emit_formats(self):
         curve = sweep(IntSet(6), 6, [0.0, 1.0], 3, RngSpec(2))
-        assert emit_records(curve, "json").endswith("\n")
+        assert json.loads(curve.to_json())["n"] == 6
         assert curve_csv(curve).count("\n") == 3
-        with pytest.raises(ValueError):
-            emit_records(curve, "yaml")
+        assert curve_plotdata(curve).count("\n") == 2
 
     def test_empty_curve_csv(self):
         curve = sweep(IntSet(6), 6, [], 3, RngSpec(2))

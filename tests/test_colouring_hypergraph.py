@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from schurperturb import colouring_hypergraph
 from schurperturb.colouring_hypergraph import (
-    Compatibility,
     ContainerLike,
     build_HA,
     claim48_density_witness,
@@ -23,7 +22,28 @@ from schurperturb.colouring_hypergraph import (
     partition_by_container,
 )
 from schurperturb.intset import IntSet, is_sum_free
-from schurperturb.solver import SchurStatus, is_schur
+from schurperturb.solver import (
+    BLUE,
+    RED,
+    ColourConstraint,
+    SchurStatus,
+    Status,
+    find_schur_colouring,
+    is_schur,
+)
+
+
+def ref_constraint(s: IntSet, c: ContainerLike) -> ColourConstraint:
+    """The per-element loop that ContainerLike.constraint replaced: each
+    element of s allows the colours of the sides that hold it."""
+    allowed: dict[int, frozenset[str]] = {}
+    for e in s:
+        cols = frozenset(col for col, side in ((RED, c.red_side), (BLUE, c.blue_side)) if e in side)
+        allowed[e] = cols
+    return ColourConstraint(
+        no_red=sum(1 << e for e, cols in allowed.items() if RED not in cols),
+        no_blue=sum(1 << e for e, cols in allowed.items() if BLUE not in cols),
+    )
 
 
 def ref_ha_stats_fast(a_set: IntSet, n: int) -> HAStats:
@@ -280,12 +300,12 @@ class TestCompatibility:
             full = ContainerLike(n, IntSet.full(n), IntSet.full(n))
             out = is_compatible(a, p, full)
             schur = is_schur(a.union(p)) is SchurStatus.SCHUR
-            assert (out.status is Compatibility.INCOMPATIBLE) == schur
+            assert (out.status is Status.NOT_COLOURABLE) == schur
 
     def test_missing_element_incompatible(self):
         c = ContainerLike(10, IntSet(10, [1, 2]), IntSet(10, [1, 2]))
         out = is_compatible(IntSet(10, [5]), IntSet(10), c)
-        assert out.status is Compatibility.INCOMPATIBLE
+        assert out.status is Status.NOT_COLOURABLE
 
     def test_all_red_means_sum_free(self):
         rng = random.Random(30)
@@ -294,16 +314,42 @@ class TestCompatibility:
             a = IntSet(n, [e for e in range(1, n + 1) if rng.random() < 0.4])
             c = ContainerLike(n, IntSet.full(n), IntSet(n))
             out = is_compatible(a, IntSet(n), c)
-            assert (out.status is Compatibility.COMPATIBLE) == is_sum_free(a)
+            assert (out.status is Status.COLOURABLE) == is_sum_free(a)
 
     def test_witness_fits_container(self):
         n = 12
         c = ContainerLike(n, IntSet(n, range(1, 7)), IntSet(n, range(5, 13)))
         a = IntSet(n, [2, 3, 9, 10])
         out = is_compatible(a, IntSet(n), c)
-        if out.status is Compatibility.COMPATIBLE:
-            assert out.witness.red() <= set(c.red_side)
-            assert out.witness.blue() <= set(c.blue_side)
+        assert out.status is Status.COLOURABLE
+        assert set(out.witness.red) <= set(c.red_side)
+        assert set(out.witness.blue) <= set(c.blue_side)
+
+    def test_constraint_matches_per_element_loop(self):
+        """constraint() gives find_schur_colouring the outcome of the
+        per-element allowed colours, on random containers and sets, with
+        elements of the set on neither side and above the container."""
+        rng = random.Random(12)
+        decided = {status: 0 for status in Status}
+        for _ in range(300):
+            n = rng.randint(4, 30)
+            c = ContainerLike(
+                n,
+                IntSet(n, [e for e in range(1, n + 1) if rng.random() < 0.8]),
+                IntSet(n, [e for e in range(1, n + 1) if rng.random() < 0.8]),
+            )
+            top = n + rng.choice((0, 0, 0, 3))
+            s = IntSet(top, [e for e in range(1, top + 1) if rng.random() < 0.4])
+            budget = rng.choice((0, 1, 10**6))
+            out = find_schur_colouring(s, c.constraint(), budget)
+            ref = find_schur_colouring(s, ref_constraint(s, c), budget)
+            assert (out.status, out.nodes_explored, out.witness) == (
+                ref.status,
+                ref.nodes_explored,
+                ref.witness,
+            )
+            decided[out.status] += 1
+        assert min(decided.values()) > 10
 
 
 class TestDensityWitness:

@@ -43,7 +43,8 @@ class TestMod5:
         a, colouring = mod5_construction(n)
         assert len(a) == math.ceil(4 * n / 5)
         assert validate_colouring(a, colouring) == []
-        assert colouring.red() == {e for e in a if e % 5 in (1, 4)}
+        assert set(colouring.red) == {e for e in a if e % 5 in (1, 4)}
+        assert set(colouring.blue) == {e for e in a if e % 5 in (2, 3)}
 
     @pytest.mark.parametrize("n", [10, 15])
     def test_not_schur(self, n):

@@ -19,7 +19,6 @@ from schurperturb.solver import (
     HostingHypergraph,
     SchurStatus,
     Status,
-    _allowed,
     _certified,
     _extend,
     _hosting_instance,
@@ -87,7 +86,7 @@ class TestConstraints:
         base = IntSet(10, [9, 10])
         out = find_schur_colouring(s, ColourConstraint.force_blue(base))
         assert out.status is Status.COLOURABLE
-        assert {9, 10} <= out.witness.blue()
+        assert {9, 10} <= set(out.witness.blue)
         assert validate_colouring(s, out.witness) == []
 
     def test_unsatisfiable_constraint(self):
@@ -98,23 +97,33 @@ class TestConstraints:
 
     def test_empty_allowed_set(self):
         s = IntSet(4, [1, 3])
-        out = find_schur_colouring(s, ColourConstraint({1: frozenset()}))
+        out = find_schur_colouring(s, ColourConstraint(no_red=0b10, no_blue=0b10))
         assert out.status is Status.NOT_COLOURABLE
 
-    def test_unknown_colour_rejected(self):
-        with pytest.raises(ValueError):
-            find_schur_colouring(IntSet(4, [1, 3]), ColourConstraint({1: frozenset("G")}))
+    def test_force_blue_takes_sets_and_iterables(self):
+        assert ColourConstraint.force_blue(IntSet(10, [9, 10])) == ColourConstraint.force_blue([10, 9, 9])
+        assert ColourConstraint.force_blue(()) == ColourConstraint.free()
+
+
+class TestColouring:
+    def test_overlapping_classes_rejected(self):
+        with pytest.raises(ValueError, match="overlap"):
+            Colouring(IntSet(5, [1, 2]), IntSet(5, [2, 3]))
+
+    def test_disjoint_classes(self):
+        c = Colouring(IntSet(5, [1, 4]), IntSet(5, [2, 3]))
+        assert (c.red.elements(), c.blue.elements()) == ([1, 4], [2, 3])
 
 
 class TestValidateColouring:
     def test_reports_monochromatic(self):
         s = IntSet(6, [1, 2, 3])
-        bad = validate_colouring(s, Colouring({1: RED, 2: RED, 3: RED}))
+        bad = validate_colouring(s, Colouring(IntSet(6, [1, 2, 3]), IntSet(6)))
         assert (1, 2, 3) in bad and (1, 2) in bad
 
     def test_partial_colouring_rejected(self):
         with pytest.raises(ValueError):
-            validate_colouring(IntSet(5, [1, 2]), Colouring({1: RED}))
+            validate_colouring(IntSet(5, [1, 2]), Colouring(IntSet(5, [1]), IntSet(5)))
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -132,8 +141,9 @@ class TestValidateColouring:
         for nothing."""
         n, elems, colours = args
         s = IntSet(n, elems)
-        c = Colouring(dict(enumerate(colours)))
-        expected = [e for e in hosting_sets(s) if len({c.assignment[v] for v in e}) == 1]
+        ground = range(1, n + 3)
+        c = Colouring(*(IntSet(n + 2, (e for e in ground if colours[e] == k)) for k in (RED, BLUE)))
+        expected = [e for e in hosting_sets(s) if len({colours[v] for v in e}) == 1]
         assert validate_colouring(s, c) == expected
 
     def test_proper_colouring_enumerates_no_hosting_set(self, monkeypatch):
@@ -159,16 +169,15 @@ class TestMinimalObstruction:
         res = minimal_obstruction(s)
         assert res.status is Status.NOT_COLOURABLE
         edges = res.hypergraph.edges
-        elems = s.elements()
         # obstruction itself is uncolourable, every proper subset colourable
         assert (
-            _solve_edges(elems, edges, ColourConstraint.free(), 10**7).status
+            _solve_edges(s, edges, ColourConstraint.free(), 10**7).status
             is Status.NOT_COLOURABLE
         )
         for drop in edges:
             rest = [e for e in edges if e != drop]
             assert (
-                _solve_edges(elems, rest, ColourConstraint.free(), 10**7).status
+                _solve_edges(s, rest, ColourConstraint.free(), 10**7).status
                 is Status.COLOURABLE
             )
 
@@ -247,18 +256,19 @@ class TestDeepSearch:
     def test_independent_two_edges_need_no_recursion(self):
         # one decision per edge, 5000 deep: beyond any interpreter recursion limit
         k = 5000
-        elems = list(range(1, 2 * k + 1))
+        s = IntSet.full(2 * k)
         edges = [(2 * i - 1, 2 * i) for i in range(1, k + 1)]
-        out = _solve_edges(elems, edges, ColourConstraint.free(), 10**7)
+        out = _solve_edges(s, edges, ColourConstraint.free(), 10**7)
         assert out.status is Status.COLOURABLE
         assert out.nodes_explored == k
-        assert all(out.witness.assignment[a] != out.witness.assignment[b] for a, b in edges)
+        assert all((a in out.witness.red) != (b in out.witness.red) for a, b in edges)
 
 
 def _digest(witness: Colouring | None) -> str | None:
+    """Hash of the colouring as its sorted (element, colour) list."""
     if witness is None:
         return None
-    text = repr(sorted(witness.assignment.items()))
+    text = repr(sorted([(e, RED) for e in witness.red] + [(e, BLUE) for e in witness.blue]))
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
@@ -390,15 +400,15 @@ def reference_obstruction(s: IntSet, constraints=None, budget: int = 10**7):
     drop it when they stay uncolourable. (status, edges or None, nodes)."""
     if constraints is None:
         constraints = ColourConstraint.free()
-    elems, edges = s.elements(), hosting_sets(s)
-    out = _solve_edges(elems, edges, constraints, budget)
+    edges = hosting_sets(s)
+    out = _solve_edges(s, edges, constraints, budget)
     nodes = out.nodes_explored
     if out.status is not Status.NOT_COLOURABLE:
         return out.status, None, nodes
     current = list(edges)
     for edge in sorted(edges, reverse=True):
         trial = [e for e in current if e != edge]
-        out = _solve_edges(elems, trial, constraints, budget)
+        out = _solve_edges(s, trial, constraints, budget)
         nodes += out.nodes_explored
         if out.status is Status.BUDGET_EXCEEDED:
             return out.status, None, nodes
@@ -444,7 +454,10 @@ class TestObstructionAgainstReference:
     def test_small_sets_with_forced_colours(self, args):
         n, elems, forced = args
         s = IntSet(n, elems)
-        constraints = ColourConstraint({e: frozenset(c) for e, c in forced.items()})
+        constraints = ColourConstraint(
+            no_red=sum(1 << e for e, c in forced.items() if c == BLUE),
+            no_blue=sum(1 << e for e, c in forced.items() if c == RED),
+        )
         status, edges, nodes = _obstruction(s, constraints)
         ref_status, ref_edges, ref_nodes = reference_obstruction(s, constraints)
         assert (status, edges) == (ref_status, ref_edges)
@@ -575,7 +588,7 @@ class TestRootSymmetry:
     @pytest.mark.parametrize("case,full_tree", FULL_REFUTATIONS)
     def test_refutation_halved(self, case, full_tree):
         s, _ = _pinned_instance(*case)
-        out = _solve_edges(s.elements(), hosting_sets(s), ColourConstraint.free(), DEFAULT_BUDGET)
+        out = _solve_edges(s, hosting_sets(s), ColourConstraint.free(), DEFAULT_BUDGET)
         assert (out.status, out.nodes_explored) == (Status.NOT_COLOURABLE, full_tree // 2)
 
     def test_opposite_forces_refuted_by_monochromatic_edge(self):
@@ -761,13 +774,13 @@ class TestCertificate:
         """find_schur_colouring, with its certificate, split colouring and
         sum-free shortcut, gives the plain search's status."""
         for s in corpus():
-            plain = _solve_edges(s.elements(), hosting_sets(s), ColourConstraint.free(), DEFAULT_BUDGET)
+            plain = _solve_edges(s, hosting_sets(s), ColourConstraint.free(), DEFAULT_BUDGET)
             assert find_schur_colouring(s).status is plain.status
 
 
 def _proper(s: IntSet, colouring: Colouring) -> bool:
     """No hosting set of s is monochromatic, checked edge by edge."""
-    return all(len({colouring.assignment[v] for v in e}) == 2 for e in hosting_sets(s))
+    return all(len({v in colouring.red for v in e}) == 2 for e in hosting_sets(s))
 
 
 def _mask_sum_free(mask: int) -> bool:
@@ -805,7 +818,7 @@ class TestSplitWitness:
             w = split_witness(s)
             if w is not None:
                 found += 1
-                assert sorted(w.assignment) == s.elements()
+                assert w.red.union(w.blue) == s
                 assert _proper(s, w)
                 assert validate_colouring(s, w) == []
         assert found > 3000
@@ -819,20 +832,20 @@ class TestSplitWitness:
         assert (colourable, decided) == (828, 824)
 
     def test_extension_agrees_with_enumeration(self):
-        """Random sum-free cores inside [1, 16] and up to 5 low elements
-        anywhere else, so that low elements also lie above core elements.
-        When each low element can join exactly one core, _extend finds the
-        colouring whenever one exists; otherwise it gives None."""
+        """Random sum-free cores inside [b, 16] and up to 5 low elements
+        below b, as split_witness gives them. When each low element can
+        join exactly one core, _extend finds the colouring whenever one
+        exists; otherwise it gives None."""
         rng = random.Random(11)
         extended = refuted = open_choice = 0
         for _ in range(3000):
+            b = rng.randint(2, 12)
             cores = [0, 0]
-            for v in rng.sample(range(1, 17), rng.randint(0, 10)):
+            for v in rng.sample(range(b, 17), rng.randint(0, min(10, 17 - b))):
                 c = rng.randrange(2)
                 if _mask_sum_free(cores[c] | 1 << v):
                     cores[c] |= 1 << v
-            rest = [v for v in range(1, 17) if not (cores[0] | cores[1]) >> v & 1]
-            low = sum(1 << v for v in rng.sample(rest, min(len(rest), rng.randint(1, 5))))
+            low = sum(1 << v for v in rng.sample(range(1, b), min(b - 1, rng.randint(1, 5))))
             q = [v for v in range(17) if low >> v & 1]
             parts = _extend(low, tuple(cores))
             joins = [sum(_mask_sum_free(cores[c] | 1 << v) for c in (0, 1)) for v in q]
@@ -899,10 +912,14 @@ def _sum_free_instances():
                 mask |= 1 << v
         s = IntSet(n, [v for v in range(1, n + 1) if mask >> v & 1])
         allowed = {
-            v: frozenset(rng.choice([(RED,), (BLUE,), (RED, BLUE), ()]))
+            v: rng.choice([(RED,), (BLUE,), (RED, BLUE), ()])
             for v in rng.sample(range(1, n + 1), rng.randint(0, min(n, 3)))
         }
-        out.append((s, ColourConstraint(allowed), rng.choice([0, 1, DEFAULT_BUDGET])))
+        constraints = ColourConstraint(
+            no_red=sum(1 << v for v, cs in allowed.items() if RED not in cs),
+            no_blue=sum(1 << v for v, cs in allowed.items() if BLUE not in cs),
+        )
+        out.append((s, constraints, rng.choice([0, 1, DEFAULT_BUDGET])))
     return out
 
 
@@ -914,9 +931,9 @@ class TestSumFree:
     def test_same_outcome_as_search(self, case, monkeypatch):
         s, constraints, budget = case
         assert is_sum_free(s)
-        elems, mapped = _hosting_instance(s)
+        mapped = _hosting_instance(s)[1]
         assert mapped == []
-        expected = _solve_mapped(elems, _allowed(elems, constraints or ColourConstraint()), mapped, budget)
+        expected = _solve_mapped(s, mapped, constraints or ColourConstraint(), budget)
 
         def unexpected(_):
             raise AssertionError("hypergraph built for a sum-free set")
