@@ -11,7 +11,7 @@ import json
 import math
 from dataclasses import dataclass, asdict
 
-from .intset import IntSet, hosting_sets
+from .intset import IntSet, count_ordered_triples
 
 DEFAULT_CLASSIFIER_DELTA = 1e-3
 DEFAULT_CLASSIFIER_EPSILON = 1 / 28
@@ -127,12 +127,17 @@ def classify_dense_case(
     (CaseII2), or honestly Unclassified at small n."""
     if not (0 < delta < 1 and 0 < epsilon < 1):
         raise ValueError("delta and epsilon must lie in (0, 1)")
-    n = a.n
-    triple_sets = len(hosting_sets(a))
-    even_count = sum(1 for e in a if e % 2 == 0)
-    missing_odds = sum(1 for e in range(1, n + 1, 2) if e not in a)
+    n, mask = a.n, a.mask
+    # hosting sets: one per pair x <= y, and the ordered count takes each
+    # x < y twice
+    ordered = count_ordered_triples(a)
+    triple_sets = ordered - count_ordered_triples(a, nondegenerate_only=True) // 2
+    odd_bits = (4 ** ((n + 1) // 2) - 1) // 3 << 1  # bits 1, 3, 5, ... up to n
+    odd_count = (mask & odd_bits).bit_count()
+    even_count = len(a) - odd_count
+    missing_odds = (n + 1) // 2 - odd_count
     top_lo = math.ceil(n / 2)
-    missing_top = sum(1 for e in range(top_lo, n + 1) if e not in a)
+    missing_top = n + 1 - top_lo - (mask >> top_lo).bit_count()
     t = len(a) - math.ceil(n / 2)
 
     if triple_sets >= delta * n**2:

@@ -14,7 +14,7 @@ import math
 import os
 import random
 import sys
-from itertools import combinations
+from itertools import combinations, product
 
 from .bounds import triple_moments
 from .colouring_hypergraph import ContainerLike, codegree_delta, ha_stats_fast
@@ -321,8 +321,8 @@ def cmd_plot_data(args) -> int:
 
 
 # ------------------------------------------------------------ verify suites
-# Each suite returns its failure lines; acceptance criteria 2, 9 and 12 run
-# hu, claim48 and stability.
+# Each suite returns its failure lines. Acceptance criteria 2, 3, 8, 9 and 12
+# run hu, prop31, moments, claim48 and stability, so each check exists once.
 
 _VERIFY_SEED = 20260824
 
@@ -352,35 +352,46 @@ def suite_hu(n_max: int = 16) -> list[str]:
     return failures
 
 
-def suite_prop31(n_max: int = 30, seed: int = _VERIFY_SEED, trials: int = 200) -> list[str]:
-    """L1 and L2 are Schur: all inside [n_max], then trials random ones."""
-    failures = []
-    for a in range(1, n_max + 1):
-        for d in range(1, n_max + 1):
-            for x in range(1, n_max + 1):
-                sets = []
-                if max(a + 3 * d, x + d, a + x + 3 * d) <= n_max:
-                    sets.append(("L1", L1(a, x, d)))
-                if x > a + 3 * d and x > d and max(x, a + 3 * d) <= n_max:
-                    sets.append(("L2", L2(a, x, d)))
-                for name, s in sets:
-                    if is_schur(s) is not SchurStatus.SCHUR:
-                        failures.append(f"prop31: {name}({a},{x},{d}) not Schur")
+def prop31_instances(
+    n_max: int = 30, seed: int = _VERIFY_SEED, trials: int = 200
+) -> list[tuple[str, IntSet]]:
+    """The labelled L1 and L2 sets of suite_prop31: all inside [n_max], then
+    two random streams inside [200], each drawn from random.Random(seed):
+    trials sets from (a, x, d) with a, d <= 40, and both sets of trials
+    (a, x, d) with d <= 10 and a <= 50."""
+    params = []
+    for a, d, x in product(range(1, n_max + 1), repeat=3):
+        if a + x + 3 * d <= n_max:
+            params.append(("L1", a, x, d))
+        if a + 3 * d < x <= n_max:
+            params.append(("L2", a, x, d))
     rng = random.Random(seed)
-    done = 0
-    while done < trials:
-        a = rng.randint(1, 40)
-        d = rng.randint(1, 40)
-        x = rng.randint(1, 160)
-        if max(a + 3 * d, x + d, a + x + 3 * d) <= 200:
-            if is_schur(L1(a, x, d)) is not SchurStatus.SCHUR:
-                failures.append(f"prop31: L1({a},{x},{d}) not Schur")
-            done += 1
-        if x > a + 3 * d and x > d and x <= 200 and done < trials:
-            if is_schur(L2(a, x, d)) is not SchurStatus.SCHUR:
-                failures.append(f"prop31: L2({a},{x},{d}) not Schur")
-            done += 1
-    return failures
+    drawn = []
+    while len(drawn) < trials:
+        a, d, x = rng.randint(1, 40), rng.randint(1, 40), rng.randint(1, 160)
+        if a + x + 3 * d <= 200:
+            drawn.append(("L1", a, x, d))
+        if a + 3 * d < x:
+            drawn.append(("L2", a, x, d))
+    params += drawn[:trials]
+    rng = random.Random(seed)
+    for _ in range(trials):
+        d, a = rng.randint(1, 10), rng.randint(1, 50)
+        x = rng.randint(a + 3 * d + 1, 200 - a - 3 * d)
+        params += [("L1", a, x, d), ("L2", a, x, d)]
+    return [
+        (f"{name}({a},{x},{d})", (L1 if name == "L1" else L2)(a, x, d))
+        for name, a, x, d in params
+    ]
+
+
+def suite_prop31(n_max: int = 30, seed: int = _VERIFY_SEED, trials: int = 200) -> list[str]:
+    """Proposition 3.1: every set of prop31_instances is Schur."""
+    return [
+        f"prop31: {label} not Schur"
+        for label, s in prop31_instances(n_max, seed, trials)
+        if is_schur(s) is not SchurStatus.SCHUR
+    ]
 
 
 def suite_stability(n_max: int = 22) -> list[str]:
@@ -441,18 +452,25 @@ def suite_wickets(n_max: int = 24, seed: int = _VERIFY_SEED, trials: int = 25) -
 
 
 def suite_moments(seed: int = _VERIFY_SEED, trials: int = 100) -> list[str]:
-    """delta_exact <= delta_star on trials random instances."""
+    """delta_exact <= delta_star = 27(n^2 p^4 + n^3 p^5) on two streams of
+    trials random sets in [n], 10 <= n <= 60, with a nondegenerate triple,
+    each drawn from random.Random(seed): density 0.7 with p <= 0.5, and
+    density 0.6 with p <= 1."""
     failures = []
-    rng = random.Random(seed)
-    for _ in range(trials):
-        n = rng.randint(10, 60)
-        members = [e for e in range(1, n + 1) if rng.random() < 0.7]
-        s = IntSet(n, members)
-        p = rng.uniform(0.01, 0.5)
-        triples = list(schur_triples(s, nondegenerate_only=True))
-        m = triple_moments(triples, n, p)
-        if m.delta_exact > m.delta_star:
-            failures.append(f"moments: delta_exact > delta_star at n={n}, p={p}")
+    for density, p_max in ((0.7, 0.5), (0.6, 1.0)):
+        rng = random.Random(seed)
+        done = 0
+        while done < trials:
+            n = rng.randint(10, 60)
+            s = IntSet(n, [e for e in range(1, n + 1) if rng.random() < density])
+            triples = list(schur_triples(s, nondegenerate_only=True))
+            if not triples:
+                continue
+            p = rng.uniform(0.01, p_max)
+            m = triple_moments(triples, n, p)
+            if m.delta_exact > m.delta_star:
+                failures.append(f"moments: delta_exact > delta_star at n={n}, p={p}")
+            done += 1
     return failures
 
 
@@ -557,10 +575,7 @@ def cli_dispatch(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except ValueError as exc:  # UsageError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

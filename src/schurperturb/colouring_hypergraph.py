@@ -192,9 +192,9 @@ def ha_stats_fast(a_set: IntSet, n: int) -> HAStats:
     )
 
 
-def codegree_delta(stats: HAStats, n: int, tau: float, d: float | None = None) -> float:
+def codegree_delta(stats: HAStats, n: int, tau: float) -> float:
     """Container codegree function with the per-vertex sums relaxed to
-    N * Delta_j; decreasing in tau. d overrides the average degree."""
+    N * Delta_j; decreasing in tau."""
     if not 0 < tau <= 1:
         raise ValueError("tau must lie in (0, 1]")
     deltas = {
@@ -204,8 +204,7 @@ def codegree_delta(stats: HAStats, n: int, tau: float, d: float | None = None) -
     }
     if all(v == 0 for v in deltas.values()):
         return 0.0
-    if d is None:
-        d = stats.average_degree
+    d = stats.average_degree
     if d <= 0:
         raise ValueError("average degree must be positive")
     weights = {2: 1.0, 3: 0.5, 4: 0.125}  # 2^-binom(j-1, 2)

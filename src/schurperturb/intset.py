@@ -184,51 +184,19 @@ def mask_bits(m: int) -> np.ndarray:
     return np.unpackbits(raw, bitorder="little").view(bool)
 
 
-def _has_sum_pair(ind: np.ndarray, z: int) -> bool:
-    """Exact test: some x, y >= 1 in the indicator with x + y = z."""
-    return bool(np.any(ind[1:z] & ind[z - 1 : 0 : -1]))
-
-
 def is_sum_free(s: IntSet) -> bool:
     """True iff no x, y in s (x = y allowed) have x + y in s.
 
-    A set with |s|^2 <= max(s) goes to the exact pair finder of
-    schur_triples (time and memory O(|s|^2 + max s)). Otherwise the
-    self-convolution of the indicator (_block_convolutions) counts, for
-    each z, the ordered pairs with x + y = z. Every z in s where a block
-    product exceeds 0.5 is confirmed by an exact scan before False is
-    returned. The answer is exact: a block product convolves 0/1 vectors of
-    at most L entries, so its float64 rounding error is below
-    c * 2^-53 * log2(2L) * L (Higham, Accuracy and Stability of Numerical
-    Algorithms, section 24.1), under 1e-6 for L <= 2^18 and any small
-    constant c; a true pair gives a value >= 1, so none is missed, and a
-    spurious hit is rejected by the exact scan. Before either, one shift
-    of the mask (O(max s / 64)) looks for a sum a + y = z with a = min(s),
-    which rules out most sets that are not sum-free.
-
-    Time O(m^2 L log L) with m = ceil((max s + 1) / L) blocks, i.e.
-    O(n log n) up to n = FFT_BLOCK (on a 2-core x86 machine: 17 ms at
-    n = 10^5, 1.8 s for the odd numbers below 2^22). Memory: the
-    indicator (max s bytes) plus at most FFT_MEMORY_CAP = 32 MiB of
-    transforms, whatever n is.
+    One shift of the mask (O(max s / 64)) looks for a sum a + y = z with
+    a = min(s), which rules out most sets that are not sum-free. Any other
+    set is sum-free iff count_ordered_triples counts no triple, in its time
+    and memory (on a 2-core x86 machine: 17 ms at n = 10^5, 1.8 s for the
+    odd numbers below 2^22).
     """
     mask = s.mask
-    if not mask:
-        return True
-    if (mask >> ((mask & -mask).bit_length() - 1)) & mask:
+    if mask and (mask >> ((mask & -mask).bit_length() - 1)) & mask:
         return False
-    ind = indicator(s)
-    top = mask.bit_length() - 1
-    if len(s) ** 2 <= top:
-        # at most |s|^2 / 2 candidate pairs: the exact pair finder is cheaper
-        # than one transform of length 2 max(s)
-        return _sum_pairs(s)[0].size == 0
-    for lo, conv, _ in _block_convolutions(ind, top):
-        window = ind[lo : lo + conv.size]
-        for k in np.flatnonzero((conv[: window.size] > 0.5) & window).tolist():
-            if _has_sum_pair(ind, lo + k):
-                return False
-    return True
+    return count_ordered_triples(s) == 0
 
 
 def _block_convolutions(ind: np.ndarray, top: int) -> Iterator[tuple[int, np.ndarray, bool]]:
@@ -242,7 +210,11 @@ def _block_convolutions(ind: np.ndarray, top: int) -> Iterator[tuple[int, np.nda
     block i and y in block j with x + y = lo + k, and diagonal is i == j.
     The ordered pairs with x + y = z are the diagonal products plus twice
     the others. The live transforms stay below FFT_MEMORY_CAP whatever top
-    is.
+    is. Rounding conv[k] to the nearest integer gives the count exactly: a
+    block product convolves 0/1 vectors of at most L entries, so its
+    float64 rounding error is below c * 2^-53 * log2(2L) * L (Higham,
+    Accuracy and Stability of Numerical Algorithms, section 24.1), under
+    1e-6 for L <= 2^18 and any small constant c.
     """
     block = min(FFT_BLOCK, 1 << top.bit_length())
     size = 2 * block
@@ -353,27 +325,31 @@ def hosting_sets(s: IntSet) -> list[tuple[int, ...]]:
 def count_ordered_triples(s: IntSet, nondegenerate_only: bool = False) -> int:
     """Number of ordered (x, y, z) in s^3 with x + y = z.
 
-    The dispatch of is_sum_free: a set with |s|^2 <= max(s) counts the
-    pairs x <= y of the pair finder, 2 #pairs - #{x = y}, in time and
-    memory O(|s|^2 + max s). Otherwise the count is the sum over z in s of
-    the rounded self-convolution of _block_convolutions, exact under the
-    error bound in is_sum_free's docstring, in time O(m^2 L log L) and
-    memory max(s) bytes plus at most FFT_MEMORY_CAP of transforms. With
+    A set with |s|^2 <= max(s) counts the pairs x <= y of the pair finder,
+    2 #pairs - #{x = y}, in time and memory O(|s|^2 + max s): at most
+    |s|^2 / 2 candidate pairs are cheaper than one transform of length
+    2 max(s). Otherwise the count is the sum over z in s of the rounded
+    self-convolution of _block_convolutions, which is exact, in time
+    O(m^2 L log L) with m = ceil((max s + 1) / L) blocks, i.e. O(n log n)
+    up to n = FFT_BLOCK, and memory max(s) bytes plus at most
+    FFT_MEMORY_CAP = 32 MiB of transforms, whatever n is. With
     nondegenerate_only the triples with x = y, one per x with 2x in s, are
     left out.
     """
-    ind = indicator(s)
-    if not ind.any():
+    mask = s.mask
+    if not mask:
         return 0
-    top = int(np.flatnonzero(ind)[-1])
+    top = mask.bit_length() - 1
     if len(s) ** 2 <= top:
         x, y = _sum_pairs(s)
         distinct = int(np.count_nonzero(x != y))
         return 2 * distinct + (0 if nondegenerate_only else x.size - distinct)
+    ind = indicator(s)
     count = 0
     for lo, conv, diagonal in _block_convolutions(ind, top):
         window = ind[lo : lo + conv.size]
-        pairs = int(np.rint(conv[: window.size][window]).astype(np.int64).sum())
+        # at most L rounded counts of at most L each: the float64 sum is exact
+        pairs = int((np.rint(conv[: window.size]) * window).sum())
         count += pairs if diagonal else 2 * pairs
     if nondegenerate_only:
         doubles = 2 * np.flatnonzero(ind)

@@ -663,7 +663,7 @@ def minimal_obstruction(
     for i, edge in enumerate(mapped):
         for v in edge:
             incident[v].append(i)
-    for e in sorted(range(len(mapped)), key=mapped.__getitem__, reverse=True):
+    for e in reversed(range(len(mapped))):  # mapped is in ascending order
         if e not in in_core:
             kept[e] = False
         elif not necessary[e]:

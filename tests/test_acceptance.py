@@ -2,23 +2,28 @@
 
 Each test prints a single pass/fail line (bypassing capture) and then
 asserts, so the final report always lists every criterion outcome.
-Oracles here are written independently of the library internals:
-mask-based exhaustive colouring enumeration and a direct disjoint-pair
-enumeration for wicket counts. Criteria 2, 9 and 12 run the CLI's verify
-suites hu, claim48 and stability, so each check exists once.
+The oracles, an exhaustive colouring search on bitmasks and an
+enumeration of the wickets in [n], come from tests/oracles.py and are
+written independently of the library internals. Criteria 2, 3, 8, 9 and 12
+run the CLI's verify suites hu, prop31, moments, claim48 and stability, so
+each check exists once.
 """
 
 import math
 import random
 import time
 
-import numpy as np
-
-from schurperturb.bounds import triple_moments
-from schurperturb.cli import suite_claim48, suite_hu, suite_stability
+from oracles import is_schur_mask, wicket_entry_masks
+from schurperturb.cli import (
+    suite_claim48,
+    suite_hu,
+    suite_moments,
+    suite_prop31,
+    suite_stability,
+)
 from schurperturb.colouring_hypergraph import ha_stats_fast
-from schurperturb.constructions import L1, L2, dense_zero_statement, sparse_base
-from schurperturb.intset import IntSet, is_sum_free, schur_triples
+from schurperturb.constructions import dense_zero_statement, sparse_base
+from schurperturb.intset import IntSet, is_sum_free
 from schurperturb.montecarlo import (
     RngSpec,
     run_trials,
@@ -61,65 +66,6 @@ def _report(num, ok, desc, started=None, limit=None):
     assert ok, line
 
 
-# ---------------------------------------------------------------- oracles
-
-
-def _mask_sum_free(m: int) -> bool:
-    """Bit i set <=> i in S; degenerate x+x=2x counts as a violation."""
-    t = m
-    while t:
-        low = t & -t
-        x = low.bit_length() - 1
-        if m & (m << x):
-            return False
-        t ^= low
-    return True
-
-
-def oracle_is_schur(mask: int) -> bool:
-    """Exhaustive 2^|S| red-subset enumeration on a bitmask set."""
-    sub = mask
-    while True:
-        if _mask_sum_free(sub) and _mask_sum_free(mask ^ sub):
-            return False
-        if sub == 0:
-            return True
-        sub = (sub - 1) & mask
-
-
-def oracle_wicket_count(n: int) -> int:
-    """Ordered wickets in [n] by direct enumeration of disjoint leg pairs.
-
-    For each ordered (x1, x2) with x3 = x1 + x2 in range, list every pair
-    {y, y + x_i} avoiding {x1, x2, x3}, encode pairs as bitmasks, and count
-    ordered triples of pairwise-disjoint pairs.
-    """
-    total = 0
-    for x1 in range(1, n + 1):
-        for x2 in range(1, n + 1):
-            x3 = x1 + x2
-            if x1 == x2 or x3 > n:
-                continue
-            xs_mask = (1 << x1) | (1 << x2) | (1 << x3)
-            legs = []
-            for x in (x1, x2, x3):
-                ms = [
-                    (1 << y) | (1 << (y + x))
-                    for y in range(1, n - x + 1)
-                    if not (((1 << y) | (1 << (y + x))) & xs_mask)
-                ]
-                legs.append(np.array(ms, dtype=np.int64))
-            l1, l2, l3 = legs
-            if not (len(l1) and len(l2) and len(l3)):
-                continue
-            d23 = (l2[:, None] & l3[None, :]) == 0
-            for m1 in l1:
-                v2 = (m1 & l2) == 0
-                v3 = (m1 & l3) == 0
-                total += int(d23[np.ix_(v2, v3)].sum())
-    return total
-
-
 # --------------------------------------------------------------- criteria
 
 
@@ -131,8 +77,8 @@ def test_criterion_01_baseline():
         and validate_colouring(IntSet.full(4), out4.witness) == []
         and is_schur(IntSet.full(4)) is SchurStatus.NOT_SCHUR
         and is_schur(IntSet.full(5)) is SchurStatus.SCHUR
-        and not oracle_is_schur(0b11110)
-        and oracle_is_schur(0b111110)
+        and not is_schur_mask(0b11110)
+        and is_schur_mask(0b111110)
     )
     _report(1, ok, "[4] colourable with validated witness, [5] Schur", t0, 1)
 
@@ -146,28 +92,7 @@ def test_criterion_02_large_subsets_schur():
 
 def test_criterion_03_eleven_element_configurations():
     t0 = time.perf_counter()
-    ok = True
-    for d in range(1, 10):
-        for a in range(1, 28 - 3 * d):
-            for x in range(1, 30 - a - 3 * d + 1):
-                if is_schur(L1(a, x, d)) is not SchurStatus.SCHUR:
-                    ok = False
-                if x > a + 3 * d and x <= 30:
-                    if is_schur(L2(a, x, d)) is not SchurStatus.SCHUR:
-                        ok = False
-    rng = random.Random(MASTER_SEED)
-    done = 0
-    while done < 200:
-        d = rng.randint(1, 10)
-        a = rng.randint(1, 50)
-        if a + 3 * d + 1 > 200 - a - 3 * d:
-            continue
-        x = rng.randint(a + 3 * d + 1, 200 - a - 3 * d)
-        if is_schur(L1(a, x, d)) is not SchurStatus.SCHUR:
-            ok = False
-        if is_schur(L2(a, x, d)) is not SchurStatus.SCHUR:
-            ok = False
-        done += 1
+    ok = not suite_prop31(n_max=30)
     _report(3, ok, "both 11-element configurations Schur: exhaustive to 30, "
                    "200 random triples to 200", t0, 600)
 
@@ -202,14 +127,14 @@ def test_criterion_05_solver_oracle_equivalence():
     for r in range(1 << 12):
         mask = r << 1
         elems = [i for i in range(1, 13) if mask >> i & 1]
-        want = SchurStatus.SCHUR if oracle_is_schur(mask) else SchurStatus.NOT_SCHUR
+        want = SchurStatus.SCHUR if is_schur_mask(mask) else SchurStatus.NOT_SCHUR
         if is_schur(IntSet(12, elems)) is not want:
             ok = False
     rng = random.Random(MASTER_SEED)
     for _ in range(500):
         elems = [e for e in range(1, 23) if rng.random() < 0.5]
         mask = sum(1 << e for e in elems)
-        want = SchurStatus.SCHUR if oracle_is_schur(mask) else SchurStatus.NOT_SCHUR
+        want = SchurStatus.SCHUR if is_schur_mask(mask) else SchurStatus.NOT_SCHUR
         if is_schur(IntSet(22, elems)) is not want:
             ok = False
     _report(5, ok, "solver equals exhaustive oracle: all S in [12], "
@@ -220,7 +145,7 @@ def test_criterion_06_wicket_counts():
     t0 = time.perf_counter()
     ok = count_wickets(IntSet.full(9)) == 0
     for n in range(1, 41):
-        if count_wickets(IntSet.full(n)) != oracle_wicket_count(n):
+        if count_wickets(IntSet.full(n)) != len(wicket_entry_masks(n)):
             ok = False
     rng = random.Random(MASTER_SEED)
     n = 60
@@ -253,20 +178,7 @@ def test_criterion_07_hypergraph_statistics():
 
 def test_criterion_08_moment_chain():
     t0 = time.perf_counter()
-    rng = random.Random(MASTER_SEED)
-    ok = True
-    done = 0
-    while done < 100:
-        n = rng.randint(10, 60)
-        s = IntSet(n, [e for e in range(1, n + 1) if rng.random() < 0.6])
-        triples = list(schur_triples(s, nondegenerate_only=True))
-        if not triples:
-            continue
-        p = rng.uniform(0.01, 1.0)
-        m = triple_moments(triples, n, p)
-        if m.delta_exact > 27 * (n**2 * p**4 + n**3 * p**5):
-            ok = False
-        done += 1
+    ok = not suite_moments(trials=100)
     _report(8, ok, "overlap-sum delta bounded by 27(n^2 p^4 + n^3 p^5) "
                    "on 100 random instances", t0)
 

@@ -1,8 +1,10 @@
+import dataclasses
 import hashlib
 import json
 
 import pytest
 
+from schurperturb import cli
 from schurperturb.cli import (
     EXIT_BUDGET,
     EXIT_OK,
@@ -14,9 +16,10 @@ from schurperturb.cli import (
     parse_set,
     wilson_interval,
 )
-from schurperturb.constructions import mod5_construction
+from schurperturb.constructions import L2, mod5_construction
 from schurperturb.intset import IntSet
 from schurperturb.montecarlo import RngSpec, sweep
+from schurperturb.solver import SchurStatus
 
 
 def run(capsys, *argv):
@@ -318,6 +321,34 @@ class TestVerify:
                            "--n-max", "12")
         assert code == EXIT_OK
         assert out == "suite stability: ok\n"
+
+    def test_prop31_reports_a_set_that_is_not_schur(self, capsys, monkeypatch):
+        real = cli.is_schur
+        bad = L2(3, 9, 1)
+
+        def wrong_on_bad(s, *args):
+            return SchurStatus.NOT_SCHUR if s == bad else real(s, *args)
+
+        monkeypatch.setattr(cli, "is_schur", wrong_on_bad)
+        code, out, _ = run(capsys, "verify", "--suite", "prop31", "--n-max", "12",
+                           "--trials", "5")
+        assert code == EXIT_VIOLATION
+        assert out == "FAIL prop31: L2(3,9,1) not Schur\nsuite prop31: 1 failures\n"
+
+    def test_moments_reports_delta_above_the_bound(self, capsys, monkeypatch):
+        real = cli.triple_moments
+
+        def inflated(triples, n, p):
+            m = real(triples, n, p)
+            return dataclasses.replace(m, delta_exact=2 * m.delta_star)
+
+        monkeypatch.setattr(cli, "triple_moments", inflated)
+        code, out, _ = run(capsys, "verify", "--suite", "moments", "--trials", "3")
+        assert code == EXIT_VIOLATION
+        *fails, summary = out.splitlines()
+        assert summary == "suite moments: 6 failures"  # 3 instances per stream
+        assert len(fails) == 6
+        assert all(line.startswith("FAIL moments: delta_exact > delta_star at n=") for line in fails)
 
 
 class TestEmission:

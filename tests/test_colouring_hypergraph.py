@@ -230,7 +230,7 @@ class TestStats:
 class TestCodegree:
     def test_single_edge_example(self):
         st = HAStats(1, 1.0, 1, 1, 1)
-        assert codegree_delta(st, 2, 1.0, d=1.0) == pytest.approx(52.0)
+        assert codegree_delta(st, 2, 1.0) == pytest.approx(52.0)
 
     def test_exact_single_edge(self):
         h = build_HA(IntSet(3, [3]), 3)

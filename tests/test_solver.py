@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import schurperturb.solver as solver_module
-from schurperturb.constructions import L1, L2, construct_by_name, odd_set
+from oracles import is_schur_mask, is_sum_free_mask
+from schurperturb.cli import prop31_instances
+from schurperturb.constructions import construct_by_name, odd_set
 from schurperturb.intset import IntSet, hosting_sets, is_sum_free, l1_values, l2_values
 from schurperturb.montecarlo import RngSpec, sample_perturbation
 from schurperturb.solver import (
@@ -38,23 +40,12 @@ from schurperturb.solver import (
 )
 
 
-def oracle_is_schur(s: IntSet) -> bool:
-    """Exhaustive 2^|S| oracle: Schur iff no red/blue split is sum-free/sum-free."""
-    elems = s.elements()
-    for k in range(len(elems) + 1):
-        for red in itertools.combinations(elems, k):
-            red_set = IntSet(s.n, red)
-            if is_sum_free(red_set) and is_sum_free(s.difference(red_set)):
-                return False
-    return True
-
-
 class TestIsSchur:
     def test_baseline_4_and_5(self):
         assert is_schur(IntSet(4, range(1, 5))) is SchurStatus.NOT_SCHUR
         assert is_schur(IntSet(5, range(1, 6))) is SchurStatus.SCHUR
-        assert oracle_is_schur(IntSet(5, range(1, 6)))
-        assert not oracle_is_schur(IntSet(4, range(1, 5)))
+        assert is_schur_mask(IntSet(5, range(1, 6)).mask)
+        assert not is_schur_mask(IntSet(4, range(1, 5)).mask)
 
     def test_witness_validates(self):
         out = find_schur_colouring(IntSet(4, range(1, 5)))
@@ -70,7 +61,7 @@ class TestIsSchur:
             s = IntSet(n, [i + 1 for i in range(n) if mask >> i & 1])
             verdict = is_schur(s)
             assert verdict is not SchurStatus.UNKNOWN
-            assert (verdict is SchurStatus.SCHUR) == oracle_is_schur(s)
+            assert (verdict is SchurStatus.SCHUR) == is_schur_mask(s.mask)
 
     def test_budget_zero(self):
         assert is_schur(IntSet(5, range(1, 6)), budget=0) is SchurStatus.UNKNOWN
@@ -616,45 +607,9 @@ class TestRootSymmetry:
         assert refuted > 100
 
 
-def _values_colourable(values) -> bool:
-    """Independent enumeration: some 2-colouring of the distinct values
-    leaves every x + y = z among them (x = y included) bichromatic."""
-    vals = sorted(set(values))
-    pos = {v: i for i, v in enumerate(vals)}
-    triples = [
-        (pos[x], pos[y], pos[x + y]) for x in vals for y in vals if x <= y and x + y in pos
-    ]
-    # colouring c gives vals[i] colour bit i of c
-    return any(
-        all(((c >> i) ^ (c >> j)) & 1 or ((c >> i) ^ (c >> k)) & 1 for i, j, k in triples)
-        for c in range(1 << len(vals))
-    )
-
-
-CRITERION_3_SEED = 20260824  # the acceptance suite's master seed
-
-
 def _criterion3_configs():
-    """The L1 and L2 sets of acceptance criterion 3: every (a, x, d) up to
-    30, then 200 random triples up to 200."""
-    out = []
-    for d in range(1, 10):
-        for a in range(1, 28 - 3 * d):
-            for x in range(1, 30 - a - 3 * d + 1):
-                out.append(L1(a, x, d))
-                if x > a + 3 * d and x <= 30:
-                    out.append(L2(a, x, d))
-    rng = random.Random(CRITERION_3_SEED)
-    done = 0
-    while done < 200:
-        d = rng.randint(1, 10)
-        a = rng.randint(1, 50)
-        if a + 3 * d + 1 > 200 - a - 3 * d:
-            continue
-        x = rng.randint(a + 3 * d + 1, 200 - a - 3 * d)
-        out += [L1(a, x, d), L2(a, x, d)]
-        done += 1
-    return out
+    """The L1 and L2 sets of acceptance criterion 3, from suite_prop31."""
+    return [s for _, s in prop31_instances()]
 
 
 def _sweep_dense_trials(seed: int = 11, trials: int = 390):
@@ -703,7 +658,7 @@ def _check_checker(checker) -> None:
         near = list(values)
         near[rng.randrange(11)] += rng.randint(1, 5)
         for vals in (values, near):
-            expected = not _values_colourable(vals)
+            expected = is_schur_mask(IntSet(max(vals), vals).mask)
             colourable += not expected
             assert checker(vals) is expected, vals
     assert colourable > 25
@@ -733,7 +688,7 @@ class TestCertificate:
         corpus = (
             _dense_corpus()
             + _sweep_dense_trials()[::5]
-            + _criterion3_configs()[::7]
+            + _criterion3_configs()
             + [IntSet.full(k) for k in range(1, 41)]
         )
         found = 0
@@ -744,7 +699,7 @@ class TestCertificate:
             found += 1
             values = _certificate_values(cert)
             assert set(values) <= set(s)
-            assert not _values_colourable(values)
+            assert is_schur_mask(IntSet(max(values), values).mask)
         assert found > 450
 
     def test_no_certificate_in_colourable_sets(self):
@@ -783,12 +738,6 @@ def _proper(s: IntSet, colouring: Colouring) -> bool:
     return all(len({v in colouring.red for v in e}) == 2 for e in hosting_sets(s))
 
 
-def _mask_sum_free(mask: int) -> bool:
-    """No x + y = z in the set of mask: for each x, no y with both y and
-    x + y in it."""
-    return not any((mask >> x) & mask for x in range(1, mask.bit_length()) if mask >> x & 1)
-
-
 def _witness_corpus():
     return _sweep_dense_trials() + _subsets_of_12() + _criterion3_configs()
 
@@ -803,7 +752,7 @@ class TestSplitWitness:
         built = []
 
         def gate(*classes):
-            built.append(all(_mask_sum_free(c.mask) for c in classes))
+            built.append(all(is_sum_free_mask(c.mask) for c in classes))
             return True
 
         monkeypatch.setattr(solver_module, "_classes_sum_free", gate)
@@ -843,25 +792,25 @@ class TestSplitWitness:
             cores = [0, 0]
             for v in rng.sample(range(b, 17), rng.randint(0, min(10, 17 - b))):
                 c = rng.randrange(2)
-                if _mask_sum_free(cores[c] | 1 << v):
+                if is_sum_free_mask(cores[c] | 1 << v):
                     cores[c] |= 1 << v
             low = sum(1 << v for v in rng.sample(range(1, b), min(b - 1, rng.randint(1, 5))))
             q = [v for v in range(17) if low >> v & 1]
             parts = _extend(low, tuple(cores))
-            joins = [sum(_mask_sum_free(cores[c] | 1 << v) for c in (0, 1)) for v in q]
+            joins = [sum(is_sum_free_mask(cores[c] | 1 << v) for c in (0, 1)) for v in q]
             if 2 in joins and 0 not in joins:
                 open_choice += 1
                 assert parts is None
                 continue
             exists = any(
-                all(_mask_sum_free(cores[c] | sum(1 << v for v, b in zip(q, bits) if b == c)) for c in (0, 1))
+                all(is_sum_free_mask(cores[c] | sum(1 << v for v, b in zip(q, bits) if b == c)) for c in (0, 1))
                 for bits in itertools.product((0, 1), repeat=len(q))
             )
             assert (parts is not None) is exists
             if parts is not None:
                 extended += 1
                 assert parts[0] | parts[1] == low and not parts[0] & parts[1]
-                assert all(_mask_sum_free(cores[c] | parts[c]) for c in (0, 1))
+                assert all(is_sum_free_mask(cores[c] | parts[c]) for c in (0, 1))
             else:
                 refuted += 1
         assert extended > 200 and refuted > 500 and open_choice > 1000
@@ -908,7 +857,7 @@ def _sum_free_instances():
         n = rng.randint(1, 60)
         mask = 0
         for v in rng.sample(range(1, n + 1), rng.randint(0, n)):
-            if _mask_sum_free(mask | 1 << v):
+            if is_sum_free_mask(mask | 1 << v):
                 mask |= 1 << v
         s = IntSet(n, [v for v in range(1, n + 1) if mask >> v & 1])
         allowed = {

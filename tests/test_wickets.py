@@ -1,9 +1,9 @@
 import random
-from functools import lru_cache
 
 import numpy as np
 import pytest
 
+from oracles import wicket_entry_masks
 from schurperturb import wickets
 from schurperturb.intset import IntSet
 from schurperturb.wickets import (
@@ -48,27 +48,6 @@ def oracle_count(s: IntSet, chi: IntSet | None = None) -> int:
                             continue
                         total += 1
     return total
-
-
-@lru_cache(maxsize=None)
-def wicket_entry_masks(n: int) -> np.ndarray:
-    """The entry set of every ordered wicket in [n], as bitmasks: per
-    (x1, x2), all triples of legs {y, y + x_i} avoiding the x's, kept when
-    pairwise disjoint (the enumeration of bench/oracle.py)."""
-    out = []
-    for x1 in range(1, n + 1):
-        for x2 in range(1, n + 1 - x1):
-            if x1 == x2:
-                continue
-            xs = (1 << x1) | (1 << x2) | (1 << (x1 + x2))
-            legs = []
-            for x in (x1, x2, x1 + x2):
-                masks = [(1 << y) | (1 << (y + x)) for y in range(1, n - x + 1)]
-                legs.append(np.array([m for m in masks if not m & xs], dtype=np.uint64))
-            l1, l2, l3 = legs[0][:, None, None], legs[1][None, :, None], legs[2][None, None, :]
-            ok = ((l1 & l2) == 0) & ((l1 & l3) == 0) & ((l2 & l3) == 0)
-            out.append((l1 | l2 | l3)[ok] | np.uint64(xs))
-    return np.concatenate(out) if out else np.zeros(0, dtype=np.uint64)
 
 
 def enumerated_containing(u, n: int) -> int:
