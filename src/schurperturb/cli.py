@@ -355,10 +355,10 @@ def suite_hu(n_max: int = 16) -> list[str]:
 def prop31_instances(
     n_max: int = 30, seed: int = _VERIFY_SEED, trials: int = 200
 ) -> list[tuple[str, IntSet]]:
-    """The labelled L1 and L2 sets of suite_prop31: all inside [n_max], then
-    two random streams inside [200], each drawn from random.Random(seed):
-    trials sets from (a, x, d) with a, d <= 40, and both sets of trials
-    (a, x, d) with d <= 10 and a <= 50."""
+    """The distinct labelled L1 and L2 sets of suite_prop31: all inside
+    [n_max], then two random streams inside [200], each drawn from
+    random.Random(seed): trials sets from (a, x, d) with a, d <= 40, and
+    both sets of trials (a, x, d) with d <= 10 and a <= 50."""
     params = []
     for a, d, x in product(range(1, n_max + 1), repeat=3):
         if a + x + 3 * d <= n_max:
@@ -379,10 +379,11 @@ def prop31_instances(
         d, a = rng.randint(1, 10), rng.randint(1, 50)
         x = rng.randint(a + 3 * d + 1, 200 - a - 3 * d)
         params += [("L1", a, x, d), ("L2", a, x, d)]
-    return [
-        (f"{name}({a},{x},{d})", (L1 if name == "L1" else L2)(a, x, d))
-        for name, a, x, d in params
-    ]
+    # different (a, x, d) can give the same set; it keeps its first label
+    first: dict[IntSet, str] = {}
+    for name, a, x, d in params:
+        first.setdefault((L1 if name == "L1" else L2)(a, x, d), f"{name}({a},{x},{d})")
+    return [(label, s) for s, label in first.items()]
 
 
 def suite_prop31(n_max: int = 30, seed: int = _VERIFY_SEED, trials: int = 200) -> list[str]:

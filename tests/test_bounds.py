@@ -69,6 +69,8 @@ class TestTripleMoments:
             m = triple_moments(
                 list(schur_triples(s, nondegenerate_only=True)), n, p
             )
+            # the bound is the paper's closed form, written out here
+            assert m.delta_star == pytest.approx(27 * (n**2 * p**4 + n**3 * p**5))
             assert m.delta_exact <= m.delta_star
 
     def test_rejects_bad_triples(self):

@@ -283,6 +283,26 @@ class TestSumFreeAgainstReference:
         finally:
             intset.FFT_BLOCK = old
 
+    def test_first_nonzero_block_ends_the_test(self, monkeypatch):
+        # odd numbers up to 199 without 9 and 11, plus 10 = 3 + 7: the
+        # min-shift test passes, and the first block product finds 3 + 7
+        s = IntSet(200, [x for x in range(1, 200, 2) if x not in (9, 11)] + [10])
+        monkeypatch.setattr(intset, "FFT_BLOCK", 8)
+        products = []
+        convolutions = intset._block_convolutions
+
+        def counted(ind, top):
+            for block in convolutions(ind, top):
+                products.append(block[0])
+                yield block
+
+        monkeypatch.setattr(intset, "_block_convolutions", counted)
+        assert not is_sum_free(s) and not is_sum_free_mask(s.mask)
+        assert products == [0]
+        products.clear()
+        assert count_ordered_triples(s) == ref_count_ordered_triples(s, False)
+        assert len(products) > 100
+
     def test_fft_memory_is_capped(self):
         # odd elements in the first and last blocks of [2^22 - 5]: sum-free,
         # so every block pair that can reach max(s) is transformed
