@@ -8,6 +8,7 @@ from .intset import (
     IntSet,
     LimitExceededError,
     count_4aps,
+    count_hosting_sets,
     count_ordered_triples,
     enumerate_large_sum_free,
     hosting_sets,

@@ -11,7 +11,7 @@ import json
 import math
 from dataclasses import dataclass, asdict
 
-from .intset import IntSet, count_ordered_triples
+from .intset import IntSet, count_hosting_sets
 
 DEFAULT_CLASSIFIER_DELTA = 1e-3
 DEFAULT_CLASSIFIER_EPSILON = 1 / 28
@@ -128,10 +128,7 @@ def classify_dense_case(
     if not (0 < delta < 1 and 0 < epsilon < 1):
         raise ValueError("delta and epsilon must lie in (0, 1)")
     n, mask = a.n, a.mask
-    # hosting sets: one per pair x <= y, and the ordered count takes each
-    # x < y twice
-    ordered = count_ordered_triples(a)
-    triple_sets = ordered - count_ordered_triples(a, nondegenerate_only=True) // 2
+    triple_sets = count_hosting_sets(a)
     odd_bits = (4 ** ((n + 1) // 2) - 1) // 3 << 1  # bits 1, 3, 5, ... up to n
     odd_count = (mask & odd_bits).bit_count()
     even_count = len(a) - odd_count

@@ -241,7 +241,7 @@ def cmd_ha_stats(args) -> int:
         "max_quad_degree": stats.max_quad_degree,
     }
     if args.tau is not None:
-        out["codegree_delta"] = _fmt(codegree_delta(stats, args.n, args.tau))
+        out["codegree_delta"] = _fmt(codegree_delta(stats, args.tau))
     print(json.dumps(out, sort_keys=True))
     return EXIT_OK
 

@@ -192,7 +192,7 @@ def ha_stats_fast(a_set: IntSet, n: int) -> HAStats:
     )
 
 
-def codegree_delta(stats: HAStats, n: int, tau: float) -> float:
+def codegree_delta(stats: HAStats, tau: float) -> float:
     """Container codegree function with the per-vertex sums relaxed to
     N * Delta_j; decreasing in tau."""
     if not 0 < tau <= 1:

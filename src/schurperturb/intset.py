@@ -187,28 +187,73 @@ def mask_bits(m: int) -> np.ndarray:
 def is_sum_free(s: IntSet) -> bool:
     """True iff no x, y in s (x = y allowed) have x + y in s.
 
-    One shift of the mask (O(max s / 64)) looks for a sum a + y = z with
-    a = min(s), which rules out most sets that are not sum-free. Any other
-    set is sum-free iff every part of _triple_counts is zero, and the first
-    nonzero part ends the test, so it takes at most count_ordered_triples'
-    time and memory (on a 2-core x86 machine: 17 ms at n = 10^5, 1.8 s
-    for the odd numbers below 2^22).
+    Only x <= max(s) / 2 can be the smaller summand of a sum in s. When
+    their number times the mask's words, max(s) // 64 + 1, is at most the
+    transform length of _block_convolutions, one big-int shift per such x,
+    ascending, looks for every y with x + y in s, and the first hit ends
+    the test (_sum_free_by_shifts): a set with a sum of small summands
+    costs one shift, and a set with no element below max(s) / 2 (an
+    interval's top half) none. Otherwise one shift by a = min(s) looks for
+    a sum a + y = z, which rules out most sets that are not sum-free, and
+    any other set is sum-free iff every part of _triple_counts is zero;
+    the first nonzero part ends the test, so it takes at most
+    count_ordered_triples' time and memory. On a 2-core x86 machine: 1 us
+    for a dense0:300,15 trial, whose first shift finds a sum, 17 us for
+    the odd numbers below 300 (75 shifts), 6 us for the top half of [10^5]
+    (no shift); on the FFT path, 12 ms for a random half of the odd
+    numbers below 10^5 and 2.1 s for the odd numbers below 2^22.
     """
     mask = s.mask
-    if mask and (mask >> ((mask & -mask).bit_length() - 1)) & mask:
+    if not mask:
+        return True
+    top = mask.bit_length() - 1
+    summands = _smaller_summands(mask)
+    if _shifts_cheaper(summands.bit_count(), top, _transform_length(top)):
+        return _sum_free_by_shifts(mask, summands)
+    if (mask >> ((mask & -mask).bit_length() - 1)) & mask:
         return False
     return not any(_triple_counts(s))
+
+
+def _smaller_summands(mask: int) -> int:
+    """The bits x <= max / 2 of a nonzero mask: the only elements that can
+    be the smaller summand of a sum x + y = z inside it."""
+    return mask & ((2 << ((mask.bit_length() - 1) // 2)) - 1)
+
+
+def _sum_free_by_shifts(mask: int, summands: int) -> bool:
+    """No x in summands and y in mask with x + y in mask: one shift of mask
+    per x, ascending, each x peeled off as the lowest set bit."""
+    while summands:
+        if (mask >> ((summands & -summands).bit_length() - 1)) & mask:
+            return False
+        summands &= summands - 1
+    return True
+
+
+def _shifts_cheaper(shifts: int, top: int, length: int) -> bool:
+    """Whether that many big-int shifts of a mask whose top bit is top, of
+    top // 64 + 1 machine words each, cost at most one FFT of that length:
+    the choice between the shift and FFT paths of is_sum_free and
+    schur_certificate."""
+    return shifts * (top // 64 + 1) <= length
+
+
+def _transform_length(top: int) -> int:
+    """Length 2L of the real FFTs _block_convolutions uses up to top: the
+    block length L is min(FFT_BLOCK, 2^ceil(log2(top + 1)))."""
+    return 2 * min(FFT_BLOCK, 1 << top.bit_length())
 
 
 def _block_convolutions(ind: np.ndarray, top: int) -> Iterator[tuple[int, np.ndarray, bool]]:
     """The self-convolution of the indicator up to top, block pair by block
     pair, with float64 FFTs.
 
-    The indicator is cut into blocks of L = min(FFT_BLOCK,
-    2^ceil(log2(top + 1))) elements. For each pair of non-empty blocks
-    i <= j whose sums can reach top, one real FFT of length 2L gives
-    (lo, conv, diagonal): conv[k] is, up to rounding, the number of x in
-    block i and y in block j with x + y = lo + k, and diagonal is i == j.
+    The indicator is cut into blocks of L elements (_transform_length).
+    For each pair of non-empty blocks i <= j whose sums can reach top, one
+    real FFT of length 2L gives (lo, conv, diagonal): conv[k] is, up to
+    rounding, the number of x in block i and y in block j with
+    x + y = lo + k, and diagonal is i == j.
     The ordered pairs with x + y = z are the diagonal products plus twice
     the others. The live transforms stay below FFT_MEMORY_CAP whatever top
     is. Rounding conv[k] to the nearest integer gives the count exactly: a
@@ -217,8 +262,8 @@ def _block_convolutions(ind: np.ndarray, top: int) -> Iterator[tuple[int, np.nda
     Accuracy and Stability of Numerical Algorithms, section 24.1), under
     1e-6 for L <= 2^18 and any small constant c.
     """
-    block = min(FFT_BLOCK, 1 << top.bit_length())
-    size = 2 * block
+    size = _transform_length(top)
+    block = size // 2
     starts = range(0, top + 1, block)
 
     def spectrum(lo: int) -> np.ndarray:
@@ -338,11 +383,22 @@ def count_ordered_triples(s: IntSet, nondegenerate_only: bool = False) -> int:
     left out.
     """
     count = sum(_triple_counts(s))
-    if nondegenerate_only:
-        ind = indicator(s)
-        doubles = 2 * np.flatnonzero(ind)
-        count -= int(np.count_nonzero(ind[doubles[doubles < ind.size]]))
-    return count
+    return count - _doubles(s) if nondegenerate_only else count
+
+
+def count_hosting_sets(s: IntSet) -> int:
+    """len(hosting_sets(s)) without listing them: one hosting set per pair
+    x <= y with x + y in s, and the ordered count takes each x < y twice,
+    so (ordered triples + #{x in s : 2x in s}) / 2, at
+    count_ordered_triples' cost."""
+    return (sum(_triple_counts(s)) + _doubles(s)) // 2
+
+
+def _doubles(s: IntSet) -> int:
+    """Number of x in s with 2x in s."""
+    ind = indicator(s)
+    doubles = 2 * np.flatnonzero(ind)
+    return int(np.count_nonzero(ind[doubles[doubles < ind.size]]))
 
 
 def _triple_counts(s: IntSet) -> Iterator[int]:

@@ -9,11 +9,12 @@ red. Budget exhaustion is a first-class outcome, never an exception.
 The search is iterative: an explicit stack holds one frame per open
 branching decision, at most V of them for V elements, so its depth is not
 limited by the interpreter's recursion limit. Memory is O(V + |E|) plus
-those frames. Each edge keeps how many of its elements are red and how many
-blue, and each element how many of its edges are not yet bichromatic;
-colouring or uncolouring an element touches only its own edges. A node costs
-O(V) to choose the branch element, plus the degrees of the elements it
-colours (propagation included) and later uncolours.
+those frames, and `find_schur_colouring` builds no hypergraph with more
+than HOSTING_SET_CAP edges. Each edge keeps how many of its elements are
+red and how many blue, and each element how many of its edges are not yet
+bichromatic; colouring or uncolouring an element touches only its own
+edges. A node costs O(V) to choose the branch element, plus the degrees of
+the elements it colours (propagation included) and later uncolours.
 
 `nodes_explored` counts colour trials, one per colour tried at a branch
 element; `budget` is checked before each trial, so a budget of k allows
@@ -26,9 +27,9 @@ searches are unchanged.
 search's answer on no edges (0 trials) without building its hypergraph.
 It then scans a set whose elements all allow both colours for an embedded
 copy of the paper's eleven-value Schur configurations L1(a, x, d) or
-L2(a, x, d) (see `schur_certificate`): for each step d, one FFT of the mask
-of 4-AP starts gives the difference set and the sumset that locate a copy.
-A copy found is checked to lie in the set and, by trying all 2^11
+L2(a, x, d) (see `schur_certificate`): for each step d, big-int shifts of
+the mask of 4-AP starts, or one FFT of it when that is cheaper, locate a
+copy. A copy found is checked to lie in the set and, by trying all 2^11
 colourings, to be uncolourable; it then decides the set NOT_COLOURABLE.
 Failing that, `split_witness` colours the top of the set as the paper's
 lower-bound colourings do, an interval split into a blue and a red part,
@@ -64,6 +65,9 @@ from .intset import (
     _ap4_starts,
     _edge_tuples,
     _hosting_columns,
+    _shifts_cheaper,
+    _smaller_summands,
+    count_hosting_sets,
     hosting_sets,
     indicator,
     is_sum_free,
@@ -76,6 +80,14 @@ RED = "R"
 BLUE = "B"
 
 DEFAULT_BUDGET = 10**7
+
+# Most hosting sets find_schur_colouring builds a hypergraph of; a set with
+# more gets BUDGET_EXCEEDED with nothing built. The build and the search's
+# incidence lists peak at about 230 bytes per hosting set (tracemalloc, on
+# dense0 sets with 1.4 * 10^4 to 7.9 * 10^5 hosting sets; Python 3.11), so
+# the cap keeps them under 2 GB. A dense0:100000,1000 trial has 1.1-1.4 *
+# 10^6 hosting sets, a dense0:1000000,10000 one about 1.1 * 10^8.
+HOSTING_SET_CAP = 1 << 23
 
 
 class Status(Enum):
@@ -382,7 +394,9 @@ def find_schur_colouring(
     NOT_COLOURABLE and a verified split colouring decides it COLOURABLE,
     with no hypergraph and no search; either counts as one colour trial, so
     nodes_explored is 1 and a budget of 0 still gives BUDGET_EXCEEDED.
-    Otherwise the search runs with the full budget.
+    Otherwise the search runs with the full budget, unless s has more than
+    HOSTING_SET_CAP hosting sets (_over_hosting_cap): it then gets
+    BUDGET_EXCEEDED with 0 nodes, and no hypergraph is built.
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
@@ -397,7 +411,18 @@ def find_schur_colouring(
         witness = split_witness(s)
         if witness is not None:
             return SolveOutcome(Status.COLOURABLE, witness, 1)
+    if _over_hosting_cap(s):
+        return SolveOutcome(Status.BUDGET_EXCEEDED, None, 0)
     return _solve_mapped(s, _hosting_instance(s)[1], constraints, budget)
+
+
+def _over_hosting_cap(s: IntSet) -> bool:
+    """s, not empty, has more than HOSTING_SET_CAP hosting sets. The smaller
+    summand x of each lies in [1, max(s) / 2], so |s & [1, max(s) / 2]| *
+    |s| bounds their number at no cost; only a set over the cap by that
+    bound is counted exactly (count_hosting_sets, 0.2 s at n = 10^6)."""
+    bound = _smaller_summands(s.mask).bit_count() * len(s)
+    return bound > HOSTING_SET_CAP and count_hosting_sets(s) > HOSTING_SET_CAP
 
 
 def is_schur(s: IntSet, budget: int = DEFAULT_BUDGET) -> SchurStatus:
@@ -409,10 +434,13 @@ def is_schur(s: IntSet, budget: int = DEFAULT_BUDGET) -> SchurStatus:
 
 # Work cap of schur_certificate, in cells: a step d costs max(s) // 64 + 1
 # cells for its 4-AP-start mask (machine words shifted) plus the length of
-# its transform when it has one. The scan of mod5_construction(3000), which
-# holds no copy, runs to the end in 3.6 * 10^6 cells and 0.14 s, against
-# 4.2 s for its search; a scan that reaches the cap took at most 0.32 s on
-# mod5_construction(n) up to n = 2 * 10^5 (2-core x86 machine).
+# its transform when it has one, on the shift path too. The scan of
+# mod5_construction(3000), which holds no copy, runs to the end in
+# 3.6 * 10^6 cells and 0.10 s, against 4.2 s for its search; a scan that
+# reaches the cap took at most 0.34 s on mod5_construction(n) up to
+# n = 2 * 10^5, its steps all on the FFT path. On the 1,170 seed-11
+# sweep_dense trials (dense0:300,15), 1,314 of the 1,319 steps take the
+# shift path and the scans take 14 ms in all (2-core x86 machine).
 CERTIFICATE_CELLS = 1 << 22
 
 # For each of 11 vertices, the bitmap over all 2^11 colourings c (vertex v
@@ -453,47 +481,113 @@ def schur_certificate(s: IntSet) -> tuple[str, int, int, int] | None:
     For each d in s with 3d < max(s), ascending, M = s & s>>d & s>>2d &
     s>>3d marks the starts of the 4-APs with step d. L1 needs some x with
     x, x + d in s and x in M - M; L2 some x with x - d, x in s and x - 3d
-    in M + M. One real FFT of M gives both, as its autocorrelation and its
-    self-convolution; the smallest x of each kind is then located exactly
-    (a float count above 0.5 is only a candidate) and checked, L1 first.
-    The scan stops at the first checked copy, or when it has used
-    CERTIFICATE_CELLS cells of work (see there), whatever s is; None then
-    means no copy was found, not that none exists.
+    in M + M. Of each kind the smallest such x, with the smallest a for it,
+    is located exactly and checked, L1 first. When a step's candidates
+    (the x in reach of M with x, x + d or x - d, x in s) times the mask's
+    words, max(s) // 64 + 1, are at most the length of its transform, they
+    are tested by big-int shifts of M (_copies_by_shifts); otherwise one
+    real FFT of M gives M - M and M + M as its autocorrelation and its
+    self-convolution (_copies_by_fft). Both give the same copies, and a
+    step is charged its transform length either way. The scan stops at the
+    first checked copy, or when it has used CERTIFICATE_CELLS cells of work
+    (see there), whatever s is; None then means no copy was found, not that
+    none exists.
     """
     mask = s.mask
     top = mask.bit_length() - 1
-    member = mask_bits(mask)
+    words = top // 64 + 1
+    member = None  # the indicator of s, built at the first FFT step
     cells = CERTIFICATE_CELLS
-    for d in np.flatnonzero(member[: (top + 2) // 3]).tolist():
-        cells -= top // 64 + 1
+    steps = mask & ((1 << ((top + 2) // 3)) - 1)
+    while steps:
+        d = (steps & -steps).bit_length() - 1
+        steps &= steps - 1
+        cells -= words
         if cells < 0:
             return None
         starts = _ap4_starts(mask, d)
         if not starts:
             continue
         lo = (starts & -starts).bit_length() - 1
-        m = mask_bits(starts >> lo)
         span = starts.bit_length() - lo  # M lies in [lo, lo + span)
         size = 1 << (2 * span - 1).bit_length()
         cells -= size
         if cells < 0:
             return None
-        f = np.fft.rfft(m.astype(np.float64), size)
-        # L1: differences 1..span-1 of M, at index x of the autocorrelation
-        diff = np.fft.irfft(f * f.conj(), size)[1:span] > 0.5
-        x_l1 = 1 + np.flatnonzero(diff & member[1:span] & member[1 + d : span + d])
-        if x_l1.size:
-            x = int(x_l1[0])
-            hits = np.flatnonzero(m[: span - x] & m[x:span])
-            if hits.size:
-                a = lo + int(hits[0])
-                if _certified(mask, l1_values(a, x, d)):
-                    return "L1", a, x, d
-        # L2: sums 2 lo + k of M, k < 2 span - 1, at index k of the
-        # self-convolution; x = 2 lo + 3d + k must be at most max(s)
-        k_max = min(2 * span - 1, top - 2 * lo - 3 * d + 1)
-        if k_max <= 0:
-            continue
+        # the candidates: x < span (the largest difference in M) for L1,
+        # and for L2 x = base + k, k < k_max, as x - 3d in M + M lies in
+        # [2 lo, 2 lo + 2 span - 1) and x <= max(s)
+        base = 2 * lo + 3 * d
+        k_max = max(0, min(2 * span - 1, top - base + 1))
+        l1 = mask & (mask >> d) & ((1 << span) - 1)
+        l2 = (mask & (mask << d)) >> base & ((1 << k_max) - 1)
+        if _shifts_cheaper(l1.bit_count() + l2.bit_count(), top, size):
+            copies = _copies_by_shifts(starts, d, l1, base, l2)
+        else:
+            if member is None:
+                member = mask_bits(mask)
+            copies = _copies_by_fft(member, starts, d, lo, span, size, k_max)
+        for name, values, copy in zip(("L1", "L2"), (l1_values, l2_values), copies):
+            if copy is not None and _certified(mask, values(*copy, d)):
+                return name, *copy, d
+    return None
+
+
+_Copy = tuple[int, int] | None  # (a, x) of one L1 or L2 copy
+
+
+def _copies_by_shifts(starts: int, d: int, l1: int, base: int, l2: int) -> tuple[_Copy, _Copy]:
+    """The first L1 and L2 copies of step d, from the mask M of its 4-AP
+    starts, the mask l1 of its L1 candidates x and the mask l2 of its L2
+    candidates x - base, each taken ascending.
+
+    L1: the smallest a with a, a + x in M is the lowest bit of M & M >> x.
+    L2: with w = x - 3d and R the bits of M reversed (bit h - a for a in M,
+    h = max M), R >> (h - w) has bit w - a for each a <= w in M, so the
+    smallest a with a, w - a in M is w minus the top bit of M & R >> (h - w).
+    """
+    l1_copy = l2_copy = None
+    while l1:
+        x = (l1 & -l1).bit_length() - 1
+        l1 &= l1 - 1
+        hit = starts & (starts >> x)
+        if hit:
+            l1_copy = (hit & -hit).bit_length() - 1, x
+            break
+    if l2:
+        h = starts.bit_length() - 1
+        rev = int(bin(starts)[:1:-1], 2)
+        while l2:
+            x = base + (l2 & -l2).bit_length() - 1
+            l2 &= l2 - 1
+            w = x - 3 * d
+            hit = starts & (rev >> (h - w) if w <= h else rev << (w - h))
+            if hit:
+                l2_copy = w + 1 - hit.bit_length(), x
+                break
+    return l1_copy, l2_copy
+
+
+def _copies_by_fft(
+    member: np.ndarray, starts: int, d: int, lo: int, span: int, size: int, k_max: int
+) -> tuple[_Copy, _Copy]:
+    """The first L1 and L2 copies of step d, from one real FFT of length
+    size of the mask M of its 4-AP starts, which lies in [lo, lo + span);
+    member is the indicator of s. A float count above 0.5 only marks a
+    candidate x; its a is then found exactly."""
+    m = mask_bits(starts >> lo)
+    f = np.fft.rfft(m.astype(np.float64), size)
+    l1_copy = l2_copy = None
+    # L1: differences 1..span-1 of M, at index x of the autocorrelation
+    diff = np.fft.irfft(f * f.conj(), size)[1:span] > 0.5
+    x_l1 = 1 + np.flatnonzero(diff & member[1:span] & member[1 + d : span + d])
+    if x_l1.size:
+        x = int(x_l1[0])
+        hits = np.flatnonzero(m[: span - x] & m[x:span])
+        if hits.size:
+            l1_copy = lo + int(hits[0]), x
+    # L2: sums 2 lo + k of M, k < k_max, at index k of the self-convolution
+    if k_max:
         xs = 2 * lo + 3 * d + np.arange(k_max)
         sums = np.fft.irfft(f * f, size)[:k_max] > 0.5
         x_l2 = xs[sums & member[xs] & member[xs - d]]
@@ -505,10 +599,8 @@ def schur_certificate(s: IntSet) -> tuple[str, int, int, int] | None:
             ok[ok] = m[second[ok]]
             hits = np.flatnonzero(ok)
             if hits.size:
-                a = lo + int(first[hits[0]])
-                if _certified(mask, l2_values(a, x, d)):
-                    return "L2", a, x, d
-    return None
+                l2_copy = lo + int(first[hits[0]]), x
+    return l1_copy, l2_copy
 
 
 def _certified(mask: int, values: list[int]) -> bool:
@@ -519,9 +611,10 @@ def _certified(mask: int, values: list[int]) -> bool:
 # Work caps of split_witness: the split points it tries and the most
 # elements below a split's blue part (coloured by _extend). On the 1,170
 # seed-11 sweep_dense trials (dense0:300,15) the splits decided 824 of the
-# 828 colourable ones, at 0.2-0.3 ms per trial, decided or not; on
-# dense0:100000,1000 at th/2, 13 of 20 trials in under 0.1 s each (2-core
-# x86 machine). On both, no split left a low element free to take either
+# 828 colourable ones, at about 0.04 ms per trial, decided or not, with
+# the sum-free gate on its shift path; on dense0:100000,1000 at th/2,
+# 13 of 20 trials, each split_witness call under 1 ms (2-core x86
+# machine). On both, no split left a low element free to take either
 # colour, the one case _extend does not colour.
 SPLIT_POINTS = 16
 SPLIT_LOW = 24
@@ -540,13 +633,20 @@ def split_witness(s: IntSet) -> Colouring | None:
     Each L gets one split, its largest m, min(2L - 1, max(s) - 1). L runs
     down from the largest value that leaves at most SPLIT_LOW low elements,
     for at most SPLIT_POINTS values; None means no split gave a colouring,
-    not that none exists.
+    not that none exists. The (SPLIT_LOW + 1)-th smallest element, which
+    bounds L, is found by peeling low bits off the mask, and the parts are
+    masks, so no split decodes the set. Only low elements can lie below
+    half of a class's maximum, as each core lies above half its own, so
+    the gate takes is_sum_free's shift path: at most SPLIT_LOW shifts.
     """
     mask = s.mask
     top = mask.bit_length() - 1
-    elems = np.flatnonzero(mask_bits(mask))
-    # L <= elems[SPLIT_LOW] leaves at most SPLIT_LOW elements below L
-    start = min((top + 1) // 2, int(elems[SPLIT_LOW]) if elems.size > SPLIT_LOW else top)
+    rest = mask
+    for _ in range(SPLIT_LOW):
+        rest &= rest - 1
+    # L <= the lowest element left, the (SPLIT_LOW + 1)-th smallest, leaves
+    # at most SPLIT_LOW elements below L
+    start = min((top + 1) // 2, (rest & -rest).bit_length() - 1 if rest else top)
     for low_end in range(start, 0, -1)[:SPLIT_POINTS]:
         m = min(2 * low_end - 1, top - 1)  # the largest m with m // 2 + 1 = L
         if m < top // 2:
@@ -581,19 +681,27 @@ def _extend(low: int, cores: tuple[int, int]) -> tuple[int, int] | None:
       low with colour c.
     The first gives each element its allowed colours. When every element
     allows exactly one, that colouring is the only candidate, and the
-    second is checked on it by one mask test per element.
+    second is checked on it by one mask test per element. Elements are
+    taken from low by peeling off its lowest set bit, each test a few
+    big-int shifts of the cores.
     """
-    q = np.flatnonzero(mask_bits(low)).tolist()
+    blue, red = cores
     classes = [0, 0]  # the elements of low given colour c
-    for x in q:
-        allowed = [c for c, k in enumerate(cores) if not ((k >> x) & k or (k >> 2 * x) & 1)]
-        if len(allowed) != 1:
-            return None
-        classes[allowed[0]] |= 1 << x
-    for x in q:
-        c = (classes[1] >> x) & 1  # the colour of x
-        if ((cores[c] | classes[c]) >> x) & classes[c]:
-            return None
+    rest = low
+    while rest:
+        x = (rest & -rest).bit_length() - 1
+        rest &= rest - 1
+        no_blue = bool((blue >> x) & blue or (blue >> 2 * x) & 1)
+        if no_blue == bool((red >> x) & red or (red >> 2 * x) & 1):
+            return None  # barred from both colours or from neither
+        classes[no_blue] |= 1 << x
+    for core, part in zip(cores, classes):
+        whole, rest = core | part, part
+        while rest:
+            x = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            if (whole >> x) & part:
+                return None
     return classes[0], classes[1]
 
 

@@ -230,7 +230,7 @@ class TestStats:
 class TestCodegree:
     def test_single_edge_example(self):
         st = HAStats(1, 1.0, 1, 1, 1)
-        assert codegree_delta(st, 2, 1.0) == pytest.approx(52.0)
+        assert codegree_delta(st, 1.0) == pytest.approx(52.0)
 
     def test_exact_single_edge(self):
         h = build_HA(IntSet(3, [3]), 3)
@@ -238,21 +238,21 @@ class TestCodegree:
         assert codegree_delta_exact(h, 1.0) == pytest.approx(52.0)
 
     def test_zero(self):
-        assert codegree_delta(HAStats(0, 0.0, 0, 0, 0), 5, 0.4) == 0.0
+        assert codegree_delta(HAStats(0, 0.0, 0, 0, 0), 0.4) == 0.0
         assert codegree_delta_exact(build_HA(IntSet(10), 10), 0.4) == 0.0
 
     def test_decreasing_in_tau(self):
         a = IntSet(20, [5, 9, 12])
         st = ha_stats_fast(a, 20)
-        vals = [codegree_delta(st, 20, tau) for tau in (0.1, 0.2, 0.4, 1.0)]
+        vals = [codegree_delta(st, tau) for tau in (0.1, 0.2, 0.4, 1.0)]
         assert vals == sorted(vals, reverse=True)
 
     def test_domain(self):
         st = HAStats(1, 1.0, 1, 1, 1)
         with pytest.raises(ValueError):
-            codegree_delta(st, 5, 0.0)
+            codegree_delta(st, 0.0)
         with pytest.raises(ValueError):
-            codegree_delta(st, 5, 1.5)
+            codegree_delta(st, 1.5)
 
 
 class TestContainers:

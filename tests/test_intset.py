@@ -17,6 +17,7 @@ from schurperturb.intset import (
     MAX_GROUND,
     ap_differences,
     count_4aps,
+    count_hosting_sets,
     count_ordered_triples,
     enumerate_large_sum_free,
     hosting_sets,
@@ -274,20 +275,26 @@ class TestSumFreeAgainstReference:
     @settings(max_examples=150)
     @given(st.integers(1, 300).flatmap(lambda n: st.tuples(st.just(n), st.sets(st.integers(1, n)))))
     def test_many_small_blocks(self, case):
+        # the dispatch's path, then each path forced
         n, members = case
         s = IntSet(n, members)
-        old = intset.FFT_BLOCK
+        old = intset.FFT_BLOCK, intset._shifts_cheaper
         intset.FFT_BLOCK = 8
         try:
-            assert is_sum_free(s) == is_sum_free_mask(s.mask)
+            for forced in (None, True, False):
+                if forced is not None:
+                    intset._shifts_cheaper = lambda *_: forced
+                assert is_sum_free(s) == is_sum_free_mask(s.mask)
         finally:
-            intset.FFT_BLOCK = old
+            intset.FFT_BLOCK, intset._shifts_cheaper = old
 
     def test_first_nonzero_block_ends_the_test(self, monkeypatch):
-        # odd numbers up to 199 without 9 and 11, plus 10 = 3 + 7: the
-        # min-shift test passes, and the first block product finds 3 + 7
-        s = IntSet(200, [x for x in range(1, 200, 2) if x not in (9, 11)] + [10])
-        monkeypatch.setattr(intset, "FFT_BLOCK", 8)
+        # odd numbers up to 1999 without 9 and 11, plus 10 = 3 + 7: about
+        # 500 elements below max / 2 at 32 words a shift, so the transforms
+        # decide, whatever the block length; the min-shift test passes, and
+        # the first block product finds 3 + 7
+        s = IntSet(2000, [x for x in range(1, 2000, 2) if x not in (9, 11)] + [10])
+        monkeypatch.setattr(intset, "FFT_BLOCK", 64)
         products = []
         convolutions = intset._block_convolutions
 
@@ -302,6 +309,41 @@ class TestSumFreeAgainstReference:
         products.clear()
         assert count_ordered_triples(s) == ref_count_ordered_triples(s, False)
         assert len(products) > 100
+
+    def test_paths_agree_across_the_dispatch(self, monkeypatch):
+        # max(s) = 999: 16 words a shift against transforms of length 2048,
+        # so a set with at most 128 elements below 500 takes the shift path
+        rng = random.Random(14)
+        cases = []
+        for k in range(100, 157):
+            odd = rng.sample(range(1, 500, 2), k) + [x for x in range(501, 1000, 2) if rng.random() < 0.5]
+            s = IntSet(999, odd + [999])
+            cases += [s, s.with_element(rng.randrange(2, 999, 2))]
+        taken = []
+        shifts = intset._sum_free_by_shifts
+
+        def spy(mask, summands):
+            taken.append(summands.bit_count())
+            return shifts(mask, summands)
+
+        monkeypatch.setattr(intset, "_sum_free_by_shifts", spy)
+        want = [is_sum_free_mask(s.mask) for s in cases]
+        assert [is_sum_free(s) for s in cases] == want
+        below = [(s.mask & ((1 << 500) - 1)).bit_count() for s in cases]
+        assert taken == [k for k in below if 16 * k <= 2048]
+        assert 0 < len(taken) < len(cases) and 0 < sum(want) < len(cases)
+        for forced in (True, False):
+            monkeypatch.setattr(intset, "_shifts_cheaper", lambda *_: forced)
+            assert [is_sum_free(s) for s in cases] == want
+
+    def test_top_half_needs_no_transform(self, monkeypatch):
+        # no element below max / 2 to be a smaller summand: no shift, no FFT
+        def unexpected(*_):
+            raise AssertionError("transform for a set with no summand")
+
+        monkeypatch.setattr(intset, "_triple_counts", unexpected)
+        for s in (top_interval(self.N), IntSet.interval(self.N, self.N // 2, self.N - 200)):
+            assert is_sum_free(s)
 
     def test_fft_memory_is_capped(self):
         # odd elements in the first and last blocks of [2^22 - 5]: sum-free,
@@ -451,6 +493,17 @@ class TestTriples:
         assert count_ordered_triples(s, nondegenerate_only=True) == len(
             [t for t in naive_triples(s) if t[0] != t[1]]
         )
+
+    @settings(max_examples=60)
+    @given(small_sets)
+    def test_hosting_set_count(self, s):
+        assert count_hosting_sets(s) == len(hosting_sets(s))
+
+    def test_hosting_set_count_by_transform(self):
+        # |s|^2 > max(s): the count comes from the block products
+        rng = random.Random(3)
+        s = IntSet(5000, [x for x in range(1, 5001) if rng.random() < 0.05])
+        assert count_hosting_sets(s) == len(hosting_sets(s)) == len(ref_hosting_sets(s))
 
     def test_hosting_sets(self):
         s = IntSet(6, [1, 2, 3, 4])

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,14 @@ import schurperturb.solver as solver_module
 from oracles import is_schur_mask, is_sum_free_mask
 from schurperturb.cli import prop31_instances
 from schurperturb.constructions import construct_by_name, odd_set
-from schurperturb.intset import IntSet, hosting_sets, is_sum_free, l1_values, l2_values
+from schurperturb.intset import (
+    IntSet,
+    count_hosting_sets,
+    hosting_sets,
+    is_sum_free,
+    l1_values,
+    l2_values,
+)
 from schurperturb.montecarlo import RngSpec, sample_perturbation
 from schurperturb.solver import (
     BLUE,
@@ -21,6 +29,7 @@ from schurperturb.solver import (
     HostingHypergraph,
     SchurStatus,
     Status,
+    VERDICT,
     _certified,
     _extend,
     _hosting_instance,
@@ -641,6 +650,26 @@ def _dense_corpus():
     return out
 
 
+def _certificate_corpus():
+    return (
+        _dense_corpus()
+        + _sweep_dense_trials()[::5]
+        + _criterion3_configs()
+        + [IntSet.full(k) for k in range(1, 41)]
+    )
+
+
+def _mod5_sets():
+    """mod5_construction(n), which holds no copy, alone and with seeded
+    perturbations at p = 2^-k."""
+    out = []
+    for n in (50, 300, 1000, 3000):
+        base = construct_by_name("mod5", n)[0]
+        out.append(base)
+        out += [base.union(sample_perturbation(n, 2.0**-k, RngSpec(5), k)) for k in range(2, 9)]
+    return out
+
+
 def _certificate_values(cert):
     name, a, x, d = cert
     return (l1_values if name == "L1" else l2_values)(a, x, d)
@@ -685,14 +714,8 @@ class TestCertificate:
         assert not _certified(IntSet.full(4).mask, values)
 
     def test_certificates_sound(self):
-        corpus = (
-            _dense_corpus()
-            + _sweep_dense_trials()[::5]
-            + _criterion3_configs()
-            + [IntSet.full(k) for k in range(1, 41)]
-        )
         found = 0
-        for s in corpus:
+        for s in _certificate_corpus():
             cert = schur_certificate(s)
             if cert is None:
                 continue
@@ -701,6 +724,26 @@ class TestCertificate:
             assert set(values) <= set(s)
             assert is_schur_mask(IntSet(max(values), values).mask)
         assert found > 450
+
+    @pytest.mark.parametrize("corpus", [_certificate_corpus, _mod5_sets, _sweep_dense_trials])
+    def test_shift_and_fft_paths_agree(self, corpus, monkeypatch):
+        """Each step forced onto the big-int path, and each forced onto the
+        FFT path, gives the same (name, a, x, d) as the dispatch."""
+        sets = corpus()
+        taken = []
+        cheaper = solver_module._shifts_cheaper
+
+        def spy(*args):
+            taken.append(cheaper(*args))
+            return taken[-1]
+
+        monkeypatch.setattr(solver_module, "_shifts_cheaper", spy)
+        found = [schur_certificate(s) for s in sets]
+        assert True in taken and False in taken
+        assert any(found)
+        for forced in (True, False):
+            monkeypatch.setattr(solver_module, "_shifts_cheaper", lambda *_: forced)
+            assert [schur_certificate(s) for s in sets] == found
 
     def test_no_certificate_in_colourable_sets(self):
         assert schur_certificate(IntSet.full(4)) is None
@@ -844,6 +887,71 @@ class TestSplitWitness:
         for s in (IntSet(1), IntSet(1, [1]), IntSet(2, [1, 2]), IntSet(3, [2, 3])):
             w = split_witness(s)
             assert w is None or _proper(s, w)
+
+
+def _searched_instance():
+    """A dense0:3000,60 trial at 2 th that neither a certificate nor a split
+    colouring decides, with 14,448 hosting sets."""
+    n, t = 3000, 60
+    th = min(n ** (-2 / 3), 1 / t)
+    s = construct_by_name(f"dense0:{n},{t}").A.union(sample_perturbation(n, 2 * th, RngSpec(3), 1))
+    assert schur_certificate(s) is None and split_witness(s) is None
+    return s
+
+
+def _unexpected(*_):
+    raise AssertionError("called over the cap")
+
+
+class TestHostingSetCap:
+    """A set with more than HOSTING_SET_CAP hosting sets gets
+    BUDGET_EXCEEDED with no hypergraph built; the free bound |s & [1,
+    max/2]| * |s| spares the exact count when it is within the cap."""
+
+    def _peak(self, s):
+        tracemalloc.start()
+        try:
+            out = find_schur_colouring(s)
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_over_the_cap_builds_nothing(self, monkeypatch):
+        s = _searched_instance()
+        count = count_hosting_sets(s)
+        assert count == len(hosting_sets(s)) == 14448
+        searched, searched_peak = self._peak(s)
+        assert searched.status is Status.COLOURABLE and searched.nodes_explored > 1
+        monkeypatch.setattr(solver_module, "HOSTING_SET_CAP", count - 1)
+        monkeypatch.setattr(solver_module, "_hosting_instance", _unexpected)
+        out, peak = self._peak(s)
+        assert (out.status, out.witness, out.nodes_explored) == (Status.BUDGET_EXCEEDED, None, 0)
+        assert VERDICT[out.status] is SchurStatus.UNKNOWN
+        # the build and the search take about 230 bytes per hosting set
+        assert 8 * peak < searched_peak
+
+    def test_million_scale_set_refused_unbuilt(self, monkeypatch):
+        # dense0:1000000,100 at 8 th: no copy, no split colouring, and about
+        # 10^8 hosting sets, some 23 GB as a hypergraph
+        n, t = 10**6, 100
+        th = min(n ** (-2 / 3), 1 / t)
+        s = construct_by_name(f"dense0:{n},{t}").A.union(sample_perturbation(n, 8 * th, RngSpec(3), 0))
+        monkeypatch.setattr(solver_module, "_hosting_instance", _unexpected)
+        out, peak = self._peak(s)
+        assert (out.status, out.nodes_explored) == (Status.BUDGET_EXCEEDED, 0)
+        assert peak < 64 * 2**20
+
+    def test_within_the_cap_searches(self, monkeypatch):
+        s = _searched_instance()
+        expected = find_schur_colouring(s)
+        count = count_hosting_sets(s)
+        free = len(s) * sum(2 * x <= max(s) for x in s)
+        assert count < free
+        monkeypatch.setattr(solver_module, "HOSTING_SET_CAP", count)
+        assert find_schur_colouring(s) == expected  # counted exactly
+        monkeypatch.setattr(solver_module, "HOSTING_SET_CAP", free)
+        monkeypatch.setattr(solver_module, "count_hosting_sets", _unexpected)
+        assert find_schur_colouring(s) == expected  # the free bound suffices
 
 
 def _sum_free_instances():
