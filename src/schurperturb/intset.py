@@ -7,6 +7,7 @@ ascending and deterministic.
 
 from __future__ import annotations
 
+import bisect
 import json
 import operator
 from typing import Iterable, Iterator
@@ -15,10 +16,13 @@ import numpy as np
 
 MAX_GROUND = 1 << 24
 
-# Block length of _block_convolutions' FFTs (is_sum_free and
-# count_ordered_triples): one block pair is one real FFT of
-# length 2 * FFT_BLOCK, whose input, two spectra, product and output stay
-# below FFT_MEMORY_CAP bytes (measured: 20 MB at this block length).
+# Longest block of _block_triple_counts (is_sum_free and
+# count_ordered_triples): a block's spectrum is one real FFT of length
+# 2 * FFT_BLOCK, 16 * (FFT_BLOCK + 1) bytes. The spectra kept for reuse, the
+# window buffer and one transform's input stay below FFT_MEMORY_CAP bytes:
+# four spectra are kept at this block length, all those of a set up to
+# n = 10^6 (measured: 23 MB for a set at n = 10^6, 30 MB at n = 2^22 with
+# the indicator included).
 FFT_BLOCK = 1 << 18
 FFT_MEMORY_CAP = 128 * FFT_BLOCK
 
@@ -189,7 +193,7 @@ def is_sum_free(s: IntSet) -> bool:
 
     Only x <= max(s) / 2 can be the smaller summand of a sum in s. When
     their number times the mask's words, max(s) // 64 + 1, is at most the
-    transform length of _block_convolutions, one big-int shift per such x,
+    transform length of _block_triple_counts, one big-int shift per such x,
     ascending, looks for every y with x + y in s, and the first hit ends
     the test (_sum_free_by_shifts): a set with a sum of small summands
     costs one shift, and a set with no element below max(s) / 2 (an
@@ -200,8 +204,9 @@ def is_sum_free(s: IntSet) -> bool:
     count_ordered_triples' time and memory. On a 2-core x86 machine: 1 us
     for a dense0:300,15 trial, whose first shift finds a sum, 17 us for
     the odd numbers below 300 (75 shifts), 6 us for the top half of [10^5]
-    (no shift); on the FFT path, 12 ms for a random half of the odd
-    numbers below 10^5 and 2.1 s for the odd numbers below 2^22.
+    (no shift); on the FFT path, 5 ms for a random half of the odd
+    numbers below 10^5 (one transform of length 2 * 10^5) and 1.5 s for
+    the odd numbers below 2^22.
     """
     mask = s.mask
     if not mask:
@@ -240,49 +245,102 @@ def _shifts_cheaper(shifts: int, top: int, length: int) -> bool:
 
 
 def _transform_length(top: int) -> int:
-    """Length 2L of the real FFTs _block_convolutions uses up to top: the
-    block length L is min(FFT_BLOCK, 2^ceil(log2(top + 1)))."""
-    return 2 * min(FFT_BLOCK, 1 << top.bit_length())
+    """Length N = 2L of the real FFTs _block_triple_counts uses up to top:
+    the block length L is the smallest 2^a 3^b 5^c >= top + 1, at most
+    FFT_BLOCK."""
+    return 2 * min(FFT_BLOCK, _SMOOTH_LENGTHS[bisect.bisect_left(_SMOOTH_LENGTHS, top + 1)])
 
 
-def _block_convolutions(ind: np.ndarray, top: int) -> Iterator[tuple[int, np.ndarray, bool]]:
-    """The self-convolution of the indicator up to top, block pair by block
-    pair, with float64 FFTs.
+def _smooth_numbers(limit: int) -> list[int]:
+    """Every 2^a 3^b 5^c <= limit, ascending."""
+    out = []
+    p5 = 1
+    while p5 <= limit:
+        odd = p5
+        while odd <= limit:
+            out.extend(odd << a for a in range((limit // odd).bit_length()))
+            odd *= 3
+        p5 *= 5
+    return sorted(out)
 
-    The indicator is cut into blocks of L elements (_transform_length).
-    For each pair of non-empty blocks i <= j whose sums can reach top, one
-    real FFT of length 2L gives (lo, conv, diagonal): conv[k] is, up to
-    rounding, the number of x in block i and y in block j with
-    x + y = lo + k, and diagonal is i == j.
-    The ordered pairs with x + y = z are the diagonal products plus twice
-    the others. The live transforms stay below FFT_MEMORY_CAP whatever top
-    is. Rounding conv[k] to the nearest integer gives the count exactly: a
-    block product convolves 0/1 vectors of at most L entries, so its
-    float64 rounding error is below c * 2^-53 * log2(2L) * L (Higham,
-    Accuracy and Stability of Numerical Algorithms, section 24.1), under
-    1e-6 for L <= 2^18 and any small constant c.
+
+# The block lengths of _transform_length, for every top <= MAX_GROUND: a
+# lookup, since is_sum_free asks for one on every call.
+_SMOOTH_LENGTHS = _smooth_numbers(2 * MAX_GROUND)
+
+
+def _block_triple_counts(ind: np.ndarray, top: int) -> Iterator[tuple[int, int]]:
+    """The ordered triple count of the indicator up to top in parts, one
+    per block pair, from float64 spectra and no inverse transform.
+
+    The indicator is cut into blocks of L elements (_transform_length), and
+    F_b is the real FFT of length N = 2L of the block starting at b. For
+    each pair of non-empty blocks i <= j whose sums can reach top, the
+    number of x in block i and y in block j with x + y in the set is
+    sum_z (ind_i * ind_j)[z] ind[z] over the window [lo, lo + N), lo the
+    sum of the two block starts. By Parseval that is
+    (1/N) sum_k F_i(k) F_j(k) conj(W(k)) over the full spectrum, where the
+    rfft bins 1..L-1 stand for two bins each and bins 0 and L for one. The
+    window's second half is the block at lo + L shifted by L = N/2, so
+    W = F_lo + (-1)^k F_{lo+L}: every spectrum is a block spectrum. Each is
+    computed once per call while the kept spectra fit under
+    FFT_MEMORY_CAP, and recomputed beyond that (least recently used out
+    first). Yields (lo, count), the count doubled for i < j, since each
+    such x, y is also y, x.
+
+    Rounding each pair's sum once gives it exactly. The spectra of 0/1
+    blocks of at most L entries carry float64 errors below c u log2(N)
+    times their norms (u = 2^-53; Higham, Accuracy and Stability of
+    Numerical Algorithms, section 24.1), and |F_j| <= L, ||F_i|| <=
+    sqrt(N L), ||W|| <= N, so the sum is off by less than about
+    sqrt(2) c u log2(N) L^2, the pairwise summation included: under 1e-3
+    at L = 2^18 for c up to 5, where rounding needs only 1/2.
     """
     size = _transform_length(top)
     block = size // 2
-    starts = range(0, top + 1, block)
+    # live besides the kept spectra: the window buffer, block i's spectrum
+    # once it is no longer kept, and one transform's float64 input
+    keep = max(1, FFT_MEMORY_CAP // (16 * (block + 1)) - 3)
+    kept: dict[int, np.ndarray] = {}
 
-    def spectrum(lo: int) -> np.ndarray:
-        return np.fft.rfft(ind[lo : lo + block].astype(np.float64), size)
+    def spectrum(lo: int) -> np.ndarray | None:
+        if lo in kept:
+            kept[lo] = kept.pop(lo)  # now the most recently used
+            return kept[lo]
+        part = ind[lo : lo + block]
+        if not part.any():
+            return None
+        if len(kept) >= keep:
+            del kept[next(iter(kept))]
+        kept[lo] = np.fft.rfft(part.astype(np.float64), size)
+        return kept[lo]
 
-    for i, lo_i in enumerate(starts):
-        if 2 * lo_i > top:
-            break
-        if not ind[lo_i : lo_i + block].any():
-            continue
+    w = np.empty(block + 1, dtype=np.complex128)
+    for lo_i in range(0, top // 2 + 1, block):
         fi = spectrum(lo_i)
-        for lo_j in starts[i:]:
-            lo = lo_i + lo_j
-            if lo > top:
-                break
-            if not ind[lo_j : lo_j + block].any():
+        if fi is None:
+            continue
+        for lo_j in range(lo_i, top - lo_i + 1, block):
+            fj = spectrum(lo_j)
+            if fj is None:
                 continue
-            fj = fi if lo_j == lo_i else spectrum(lo_j)
-            yield lo, np.fft.irfft(fi * fj, size), lo_j == lo_i
+            lo = lo_i + lo_j
+            f_lo, f_hi = spectrum(lo), spectrum(lo + block)
+            if f_lo is None and f_hi is None:
+                continue
+            if f_lo is None:
+                w.fill(0)
+            else:
+                w[:] = f_lo
+            if f_hi is not None:
+                w[::2] += f_hi[::2]
+                w[1::2] -= f_hi[1::2]
+            np.conj(w, out=w)
+            w *= fi
+            w *= fj
+            re = w.real
+            pairs = round((2 * re.sum() - re[0] - re[-1]) / size)
+            yield lo, pairs if lo_j == lo_i else 2 * pairs
 
 
 def _sum_pairs(s: IntSet) -> tuple[np.ndarray, np.ndarray]:
@@ -374,13 +432,14 @@ def count_ordered_triples(s: IntSet, nondegenerate_only: bool = False) -> int:
     A set with |s|^2 <= max(s) counts the pairs x <= y of the pair finder,
     2 #pairs - #{x = y}, in time and memory O(|s|^2 + max s): at most
     |s|^2 / 2 candidate pairs are cheaper than one transform of length
-    2 max(s). Otherwise the count is the sum over z in s of the rounded
-    self-convolution of _block_convolutions, which is exact, in time
-    O(m^2 L log L) with m = ceil((max s + 1) / L) blocks, i.e. O(n log n)
-    up to n = FFT_BLOCK, and memory max(s) bytes plus at most
-    FFT_MEMORY_CAP = 32 MiB of transforms, whatever n is. With
-    nondegenerate_only the triples with x = y, one per x with 2x in s, are
-    left out.
+    2 max(s). Otherwise the count is the sum of the exact block pair counts
+    of _block_triple_counts, one forward FFT per block and none inverse
+    while the spectra fit: time O(m L log L + m^2 L) with
+    m = ceil((max s + 1) / L) blocks, i.e. O(n log n) up to n = FFT_BLOCK
+    (3 ms at n = 10^5, 55 ms at n = 10^6 on a 2-core x86 machine), and
+    memory max(s) bytes plus at most FFT_MEMORY_CAP = 32 MiB of spectra,
+    whatever n is. With nondegenerate_only the triples with x = y, one per
+    x with 2x in s, are left out.
     """
     count = sum(_triple_counts(s))
     return count - _doubles(s) if nondegenerate_only else count
@@ -403,8 +462,8 @@ def _doubles(s: IntSet) -> int:
 
 def _triple_counts(s: IntSet) -> Iterator[int]:
     """The ordered triple count of s in parts, computed one at a time: one
-    part from the pair finder, or one per block product of
-    _block_convolutions (see count_ordered_triples)."""
+    part from the pair finder, or one per block pair of
+    _block_triple_counts (see count_ordered_triples)."""
     mask = s.mask
     if not mask:
         return
@@ -413,12 +472,8 @@ def _triple_counts(s: IntSet) -> Iterator[int]:
         x, y = _sum_pairs(s)
         yield 2 * x.size - int(np.count_nonzero(x == y))
         return
-    ind = indicator(s)
-    for lo, conv, diagonal in _block_convolutions(ind, top):
-        window = ind[lo : lo + conv.size]
-        # at most L rounded counts of at most L each: the float64 sum is exact
-        pairs = int((np.rint(conv[: window.size]) * window).sum())
-        yield pairs if diagonal else 2 * pairs
+    for _, count in _block_triple_counts(indicator(s), top):
+        yield count
 
 
 def _ap4_starts(mask: int, d: int) -> int:

@@ -417,10 +417,12 @@ def find_schur_colouring(
 
 
 def _over_hosting_cap(s: IntSet) -> bool:
-    """s, not empty, has more than HOSTING_SET_CAP hosting sets. The smaller
-    summand x of each lies in [1, max(s) / 2], so |s & [1, max(s) / 2]| *
-    |s| bounds their number at no cost; only a set over the cap by that
-    bound is counted exactly (count_hosting_sets, 0.2 s at n = 10^6)."""
+    """s has more than HOSTING_SET_CAP hosting sets. The smaller summand x
+    of each lies in [1, max(s) / 2], so |s & [1, max(s) / 2]| * |s| bounds
+    their number at no cost; only a set over the cap by that bound is
+    counted exactly (count_hosting_sets, 0.1 s at n = 10^6)."""
+    if not s.mask:
+        return False
     bound = _smaller_summands(s.mask).bit_count() * len(s)
     return bound > HOSTING_SET_CAP and count_hosting_sets(s) > HOSTING_SET_CAP
 
@@ -753,11 +755,15 @@ def minimal_obstruction(
       no search, as every later kept set is smaller.
     `budget` applies to each search that runs, and `nodes_explored` sums
     their nodes; a skipped deletion never searches, so it uses no budget.
+    A set with more than HOSTING_SET_CAP hosting sets (_over_hosting_cap)
+    gets BUDGET_EXCEEDED with 0 nodes, and nothing is built.
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
     if constraints is None:
         constraints = ColourConstraint.free()
+    if _over_hosting_cap(s):
+        return ObstructionResult(Status.BUDGET_EXCEEDED, None, 0)
     elems, mapped = _hosting_instance(s)
     allowed = _allowed(s, constraints)
     status, _, total_nodes, core = _search(allowed, mapped, budget)

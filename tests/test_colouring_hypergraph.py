@@ -190,17 +190,55 @@ class TestStats:
             a = IntSet(n, rng.sample(range(1, n + 1), rng.randint(0, n)))
             assert ha_stats_fast(a, n) == ref_ha_stats_fast(a, n)
 
-    def test_shared_pairs_across_row_blocks(self, monkeypatch):
-        # blocks of two rows: the shared pairs {u, v} of 7 > 5 > 3 > 1 put
-        # corrections on both sides of many block edges
+    def test_shared_pairs_across_gram_row_blocks(self, monkeypatch):
+        # Gram row blocks of at least two rows, 62 cells over at most 31
+        # runs: the shared pairs {u, v} of 7 > 5 > 3 > 1 put corrections in
+        # many blocks, on and off the diagonal
         monkeypatch.setattr(colouring_hypergraph, "HA_BLOCK_CELLS", 2 * 31)
+        blocks = []
+        gram = colouring_hypergraph._gram_row_blocks
+
+        def spy(c):
+            for r0, g in gram(c):
+                blocks.append(len(g))
+                yield r0, g
+
+        monkeypatch.setattr(colouring_hypergraph, "_gram_row_blocks", spy)
         a = IntSet(30, [1, 3, 5, 7, 9, 11, 13, 21, 29])
         assert ha_stats_fast(a, 30) == ref_ha_stats_fast(a, 30)
+        assert len(blocks) > 5 and max(blocks) <= 62 // 2
         rng = random.Random(46)
         for _ in range(30):
             n = rng.randint(5, 60)
             a = IntSet(n, rng.sample(range(1, n + 1), rng.randint(1, n // 2)))
             assert ha_stats_fast(a, n) == ref_ha_stats_fast(a, n)
+        monkeypatch.setattr(colouring_hypergraph, "HA_BLOCK_CELLS", 1)
+        a = IntSet(40, [2, 4, 6, 10, 20, 30, 40])
+        assert ha_stats_fast(a, 40) == ref_ha_stats_fast(a, 40)
+        # the blocks, stacked, are the whole Gram matrix of the runs
+        for cells in (1, 62, 1 << 18):
+            monkeypatch.setattr(colouring_hypergraph, "HA_BLOCK_CELLS", cells)
+            for _ in range(10):
+                n = rng.randint(5, 80)
+                a = np.array(rng.sample(range(1, n + 1), rng.randint(1, n // 2)))
+                starts, _ = colouring_hypergraph._runs(a, n)
+                c = colouring_hypergraph._elem_pair_degrees(a, n, starts)
+                g = np.concatenate([block for _, block in gram(c)])
+                assert (g == c.T.astype(np.int64) @ c.astype(np.int64)).all()
+
+    def test_even_and_half_targets(self):
+        # targets whose excluded points a / 2, a and 2a fall on interval
+        # ends: a = n / 2 (so 2a = n and a = n - a), 2a = n +- 1, even a
+        rng = random.Random(47)
+        for n in range(4, 41):
+            halves = [x for x in (n // 2, (n + 1) // 2, n // 2 + 1) if 1 <= x <= n]
+            evens = list(range(2, n + 1, 2))
+            for members in (halves, evens, rng.sample(evens, max(1, len(evens) // 2)) + [n // 2]):
+                a = IntSet(n, members)
+                want = ref_ha_stats_fast(a, n)
+                assert ha_stats_fast(a, n) == want
+                if n <= 24:
+                    assert want == ha_stats(build_HA(a, n))
 
     def test_memory_is_bounded(self):
         a = IntSet(2000, random.Random(7).sample(range(1, 2001), 45))
@@ -211,6 +249,37 @@ class TestStats:
         finally:
             tracemalloc.stop()
         assert peak < 20 * 2**20
+
+    def test_large_ground_set_in_little_memory(self):
+        # n = 10^5: about 9 |A| runs, so G is a few hundred rows square
+        rng = random.Random(48)
+        n, size = 10**5, 45
+        a = IntSet(n, rng.sample(range(1, n + 1), size))
+        tracemalloc.start()
+        try:
+            st = ha_stats_fast(a, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert size * (n / 2 - 1) ** 2 / 2 <= st.edge_count <= size * n**2
+        assert st.max_pair_degree <= 4 * n
+        assert st.max_triple_degree <= 4
+        assert st.max_quad_degree == 1
+        assert st.max_pair_degree >= st.max_triple_degree >= st.max_quad_degree
+        assert peak < 8 * 2**20
+
+    def test_many_targets_memory(self):
+        # |A| = 1000 at n = 2000: a quarter million shared pairs, every run
+        # one element; the matrix-product version peaked at 45 MB here
+        a = IntSet(2000, random.Random(7).sample(range(1, 2001), 1000))
+        tracemalloc.start()
+        try:
+            st = ha_stats_fast(a, 2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert st.max_triple_degree <= 4 and st.max_pair_degree <= 4 * 2000
+        assert peak < 45 * 2**20
 
     def test_paper_inequalities(self):
         rng = random.Random(2)

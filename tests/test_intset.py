@@ -296,14 +296,14 @@ class TestSumFreeAgainstReference:
         s = IntSet(2000, [x for x in range(1, 2000, 2) if x not in (9, 11)] + [10])
         monkeypatch.setattr(intset, "FFT_BLOCK", 64)
         products = []
-        convolutions = intset._block_convolutions
+        block_counts = intset._block_triple_counts
 
         def counted(ind, top):
-            for block in convolutions(ind, top):
-                products.append(block[0])
-                yield block
+            for part in block_counts(ind, top):
+                products.append(part[0])
+                yield part
 
-        monkeypatch.setattr(intset, "_block_convolutions", counted)
+        monkeypatch.setattr(intset, "_block_triple_counts", counted)
         assert not is_sum_free(s) and not is_sum_free_mask(s.mask)
         assert products == [0]
         products.clear()
@@ -311,8 +311,10 @@ class TestSumFreeAgainstReference:
         assert len(products) > 100
 
     def test_paths_agree_across_the_dispatch(self, monkeypatch):
-        # max(s) = 999: 16 words a shift against transforms of length 2048,
-        # so a set with at most 128 elements below 500 takes the shift path
+        # max(s) = 999: 16 words a shift against transforms of length
+        # 2 * 1000, so a set with at most 125 elements below 500 takes the
+        # shift path
+        length = intset._transform_length(999)
         rng = random.Random(14)
         cases = []
         for k in range(100, 157):
@@ -330,7 +332,7 @@ class TestSumFreeAgainstReference:
         want = [is_sum_free_mask(s.mask) for s in cases]
         assert [is_sum_free(s) for s in cases] == want
         below = [(s.mask & ((1 << 500) - 1)).bit_count() for s in cases]
-        assert taken == [k for k in below if 16 * k <= 2048]
+        assert taken == [k for k in below if 16 * k <= length]
         assert 0 < len(taken) < len(cases) and 0 < sum(want) < len(cases)
         for forced in (True, False):
             monkeypatch.setattr(intset, "_shifts_cheaper", lambda *_: forced)
@@ -430,13 +432,13 @@ class TestTriplesAgainstReference:
     def test_counts_at_dispatch_boundary(self, monkeypatch):
         # |s|^2 <= max(s) counts with the pair finder, else with the FFTs
         calls = []
-        convolutions = intset._block_convolutions
+        block_counts = intset._block_triple_counts
 
         def spy(ind, top):
             calls.append(top)
-            return convolutions(ind, top)
+            return block_counts(ind, top)
 
-        monkeypatch.setattr(intset, "_block_convolutions", spy)
+        monkeypatch.setattr(intset, "_block_triple_counts", spy)
         rng = random.Random(12)
         for k in (1, 2, 3, 7, 30):
             for top, fft in ((k * k, False), (k * k - 1, True)):
@@ -450,6 +452,35 @@ class TestTriplesAgainstReference:
         for s in (IntSet(1), IntSet(1, [1]), IntSet(7), IntSet(2, [1, 2])):
             for nd in (False, True):
                 assert count_ordered_triples(s, nd) == ref_count_ordered_triples(s, nd)
+
+    def test_full_intervals_at_block_edges(self):
+        # [n] has n(n-1)/2 ordered triples; a full block is the float
+        # worst case, and past 2 * FFT_BLOCK windows span two blocks
+        b = intset.FFT_BLOCK
+        for n in (b - 1, b + 1, 3 * b + 5):
+            assert count_ordered_triples(IntSet.full(n)) == n * (n - 1) // 2
+
+    @settings(max_examples=150)
+    @given(
+        st.sampled_from([6, 12]),
+        st.integers(1, 200).flatmap(lambda n: st.tuples(st.just(n), st.sets(st.integers(1, n)))),
+    )
+    def test_spectral_counts_small_blocks(self, block, case):
+        # blocks of 6 and 12 elements, whose transforms have lengths 12
+        # and 24, not powers of two
+        n, members = case
+        s = IntSet(n, members)
+        old = intset.FFT_BLOCK, intset._shifts_cheaper
+        intset.FFT_BLOCK = block
+        intset._shifts_cheaper = lambda *_: False
+        try:
+            parts = intset._block_triple_counts(intset.indicator(s), max(members, default=0))
+            assert sum(count for _, count in parts) == ref_count_ordered_triples(s)
+            for nd in (False, True):
+                assert count_ordered_triples(s, nd) == ref_count_ordered_triples(s, nd)
+            assert is_sum_free(s) == is_sum_free_mask(s.mask)
+        finally:
+            intset.FFT_BLOCK, intset._shifts_cheaper = old
 
     def test_count_memory_is_capped(self):
         # odd elements in the first and last blocks of [2^22 - 5], plus 2:

@@ -941,6 +941,29 @@ class TestHostingSetCap:
         assert (out.status, out.nodes_explored) == (Status.BUDGET_EXCEEDED, 0)
         assert peak < 64 * 2**20
 
+    def test_obstruction_over_the_cap_builds_nothing(self, monkeypatch):
+        # minimal_obstruction refuses the same set before its build; the
+        # empty set is under any cap
+        assert minimal_obstruction(IntSet(5)).status is Status.COLOURABLE
+        s = _searched_instance()
+        count = count_hosting_sets(s)
+        tracemalloc.start()
+        try:
+            minimal_obstruction(s, budget=1)
+            built_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        monkeypatch.setattr(solver_module, "HOSTING_SET_CAP", count - 1)
+        monkeypatch.setattr(solver_module, "_hosting_instance", _unexpected)
+        tracemalloc.start()
+        try:
+            out = minimal_obstruction(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (out.status, out.hypergraph, out.nodes_explored) == (Status.BUDGET_EXCEEDED, None, 0)
+        assert 8 * peak < built_peak
+
     def test_within_the_cap_searches(self, monkeypatch):
         s = _searched_instance()
         expected = find_schur_colouring(s)
