@@ -47,7 +47,7 @@ from .solver import (
     minimal_obstruction,
     validate_colouring,
 )
-from .wickets import count_wickets
+from .wickets import count_wickets, iter_wickets
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -226,7 +226,7 @@ def cmd_obstruction(args) -> int:
 def cmd_wickets(args) -> int:
     s = parse_set(args.set, args.n)
     chi = parse_set(args.chi, s.n) if args.chi else None
-    print(count_wickets(s, chi, method=args.method))
+    print(count_wickets(s, chi))
     return EXIT_OK
 
 
@@ -436,18 +436,19 @@ def suite_claim48(n_max: int = 200) -> list[str]:
 
 
 def suite_wickets(n_max: int = 24, seed: int = _VERIFY_SEED, trials: int = 25) -> list[str]:
-    """Both wicket counting methods agree on [n], n <= n_max, and random sets."""
+    """The batched wicket count equals the number of wickets enumerated, on
+    [n], n <= n_max, and random sets."""
     failures = []
     rng = random.Random(seed)
     for n in range(1, n_max + 1):
         s = IntSet.full(n)
-        if count_wickets(s, method="ie") != count_wickets(s, method="enumerate"):
+        if count_wickets(s) != sum(1 for _ in iter_wickets(s)):
             failures.append(f"wickets: [n]={n} fast/slow mismatch")
     for _ in range(trials):
         n = rng.randint(10, n_max)
         members = [e for e in range(1, n + 1) if rng.random() < 0.6]
         s = IntSet(n, members)
-        if count_wickets(s, method="ie") != count_wickets(s, method="enumerate"):
+        if count_wickets(s) != sum(1 for _ in iter_wickets(s)):
             failures.append(f"wickets: random set at n={n} fast/slow mismatch")
     return failures
 
@@ -538,7 +539,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("set")
     p.add_argument("--n", type=int)
     p.add_argument("--chi")
-    p.add_argument("--method", choices=("ie", "enumerate"), default="ie")
 
     p = add("ha-stats", cmd_ha_stats, help="colouring-hypergraph statistics")
     p.add_argument("base")

@@ -159,14 +159,16 @@ class IntSet:
 
     @classmethod
     def from_runs(cls, text: str, n: int | None = None) -> "IntSet":
-        """Parse "a-b,c,d-e" back into a set."""
+        """Parse "a-b,c,d-e" back into a set; a run "a-b" needs a <= b."""
         elems: list[int] = []
         text = text.strip()
         if text:
             for part in text.split(","):
                 if "-" in part:
-                    lo, hi = part.split("-")
-                    elems.extend(range(int(lo), int(hi) + 1))
+                    lo, hi = map(int, part.split("-"))
+                    if lo > hi:
+                        raise ValueError(f"reversed run {part!r}")
+                    elems.extend(range(lo, hi + 1))
                 else:
                     elems.append(int(part))
         if n is None:

@@ -49,6 +49,12 @@ drops an edge outside the latest core without a search and keeps, without
 a search, every edge that model rotation of a colourable witness proves
 necessary. Its budget applies to each search that runs; a skipped deletion
 never searches, so it never uses budget.
+
+`find_loose_cycle` looks for the loose cycles that the paper's minimal
+obstructions carry with a complete depth-first search, also on an explicit
+stack: it only ever grows loose paths, so whatever it closes is a loose
+cycle, and None means that the hypergraph has none. Its worst case is
+exponential in the number of edges.
 """
 
 from __future__ import annotations
@@ -842,15 +848,9 @@ class HminReport:
 def check_hmin_properties(h: HostingHypergraph, base: IntSet) -> HminReport:
     uniform3 = all(len(e) == 3 for e in h.edges)
     one_base = all(sum(1 for v in e if v in base) <= 1 for e in h.edges)
-    linear = True
-    for i, e in enumerate(h.edges):
-        se = set(e)
-        for f in h.edges[i + 1 :]:
-            if len(se.intersection(f)) > 1:
-                linear = False
-                break
-        if not linear:
-            break
+    linear = all(
+        len(set(e).intersection(f)) <= 1 for i, e in enumerate(h.edges) for f in h.edges[i + 1 :]
+    )
     return HminReport(uniform3, one_base, linear)
 
 
@@ -868,76 +868,48 @@ class LooseCycle:
         }
 
 
-def _edge_type(edge: tuple[int, ...], base: IntSet) -> str:
-    return "t2" if any(v in base for v in edge) else "t1"
-
-
-def _is_loose_cycle(edges: list[tuple[int, ...]]) -> bool:
-    ell = len(edges)
-    if ell < 3:
-        return False
-    for i in range(ell):
-        for j in range(i + 1, ell):
-            inter = len(set(edges[i]).intersection(edges[j]))
-            adjacent = (j - i == 1) or (i == 0 and j == ell - 1)
-            if adjacent and inter != 1:
-                return False
-            if not adjacent and inter != 0:
-                return False
-    return True
-
-
-def _count_consecutive_t2(types: list[str]) -> int:
-    ell = len(types)
-    return sum(
-        1 for i in range(ell) if types[i] == "t2" and types[(i + 1) % ell] == "t2"
-    )
-
-
 def find_loose_cycle(h: HostingHypergraph, base: IntSet) -> LooseCycle | None:
-    """Find a loose cycle (>= 3 edges, consecutive sharing one vertex,
-    others disjoint) by a greedy walk: from each start edge, extend through
-    shared vertices until an edge touches an earlier walk edge, then trim to
-    the cycle and check the loose pattern. The walk is not a complete
-    search: None means no cycle was found, not that none exists."""
+    """A loose cycle of the 3-uniform h, or None when h has none.
+
+    A loose cycle is ell >= 3 edges in cyclic order, each meeting the next
+    in one vertex, those ell connecting vertices distinct, and edges that
+    are not neighbours disjoint; three edges through one vertex are not
+    one. A depth-first search on an explicit stack grows loose paths from
+    each edge in turn through edges of higher index only, so each cycle is
+    found from its lowest-index edge. A path grows by an edge that meets it
+    in exactly one vertex, a vertex of its last edge other than that
+    edge's connecting vertex, and it closes by an edge that meets only its
+    last and first edges, in a vertex of each that is not a connecting
+    vertex. Every path kept is thus loose and every cycle closed is a loose
+    cycle, with nothing checked afterwards. Candidates are taken in
+    ascending index, so the answer is deterministic, and the search is
+    complete: None means that no loose cycle exists. The worst case is
+    exponential in the number of edges, since every loose path may be
+    listed; the stack holds at most |E| paths of each length, each path
+    in O(|E|) memory.
+    """
     if not h.is_three_uniform():
         raise ValueError("loose-cycle search requires a 3-uniform hypergraph")
-    edges = h.edges
-    by_vertex: dict[int, list[tuple[int, ...]]] = {}
-    for e in edges:
+    edges = [set(e) for e in h.edges]
+    by_vertex: dict[int, list[int]] = {}
+    for i, e in enumerate(h.edges):
         for v in e:
-            by_vertex.setdefault(v, []).append(e)
-
-    for start in edges:
-        walk = [start]
-        used = {start}
-        guard = 2 * len(edges) + 4
-        while len(walk) <= guard:
-            last = walk[-1]
-            nxt = None
-            for v in last:
-                for cand in by_vertex.get(v, ()):
-                    if cand in used:
-                        continue
-                    if len(set(cand).intersection(last)) == 1:
-                        nxt = cand
-                        break
-                if nxt:
-                    break
-            if nxt is None:
-                break
-            # does nxt close a cycle with some earlier walk edge?
-            closing = None
-            for r in range(len(walk) - 2, -1, -1):
-                if set(nxt).intersection(walk[r]):
-                    closing = r
-                    break
-            walk.append(nxt)
-            used.add(nxt)
-            if closing is not None:
-                cyc = walk[closing:]
-                if _is_loose_cycle(cyc):
-                    types = [_edge_type(e, base) for e in cyc]
-                    return LooseCycle(cyc, types, _count_consecutive_t2(types))
-                break
+            by_vertex.setdefault(v, []).append(i)
+    for first in range(len(edges)):
+        # (path, its vertices, last connecting vertex, first edge's free vertices)
+        stack = [([first], edges[first], None, edges[first])]
+        while stack:
+            path, covered, joint, free = stack.pop()
+            last = edges[path[-1]]
+            grown = []
+            for j in sorted({j for v in last - {joint} for j in by_vertex[v] if j > first}):
+                meet = covered & edges[j]
+                if len(meet) == 1:
+                    grown.append((path + [j], covered | edges[j], *meet, free - meet))
+                elif len(meet) == 2 and len(meet & free) == 1:  # one in last, one in free
+                    cycle = [h.edges[i] for i in path + [j]]
+                    types = ["t2" if any(v in base for v in e) else "t1" for e in cycle]
+                    pairs = sum(t == "t2" == types[i - 1] for i, t in enumerate(types))
+                    return LooseCycle(cycle, types, pairs)
+            stack.extend(reversed(grown))
     return None

@@ -123,19 +123,15 @@ def _batches(rows: int, n: int):
     return (slice(lo, lo + step) for lo in range(0, rows, step))
 
 
-def count_wickets(s: IntSet, chi: IntSet | None = None, method: str = "ie") -> int:
+def count_wickets(s: IntSet, chi: IntSet | None = None) -> int:
     """Ordered wicket count over s; legs restricted to chi when given.
 
-    The "ie" method batches one row per (x1, x2) with x1 + x2 in s: time
+    One row per (x1, x2) with x1 + x2 in s, taken in batches: time
     O(|s|^2 + r n) for r such rows, memory O(BATCH_CELLS); exact while the
     per-row counts, at most n^3, fit in int64 (n <= 2 * 10^6).
     """
     if chi is not None and chi.mask & ~s.mask:
         raise ValueError("chi must be a subset of s")
-    if method == "enumerate":
-        return sum(1 for _ in iter_wickets(s, chi))
-    if method != "ie":
-        raise ValueError(f"unknown method {method!r}")
     n = s.n
     base = np.zeros(n + 1, dtype=bool)
     legs_ground = indicator(chi if chi is not None else s)[: n + 1]

@@ -1,9 +1,11 @@
 """Independent test oracles, written on plain ints and numpy arrays without
-the library's kernels: a big-int sum-free test, an exhaustive Schur test and
-the enumeration of the wickets in [n]. Masks use bit i for the element i.
+the library's kernels: a big-int sum-free test, an exhaustive Schur test,
+the enumeration of the wickets in [n] and of the loose cycles of a
+hypergraph. Masks use bit i for the element i.
 """
 
 from functools import lru_cache
+from itertools import combinations, permutations
 from typing import Iterator
 
 import numpy as np
@@ -65,3 +67,33 @@ def wicket_entry_masks(n: int) -> np.ndarray:
             ok = ((l1 & l2) == 0) & ((l1 & l3) == 0) & ((l2 & l3) == 0)
             out.append((l1 | l2 | l3)[ok] | np.uint64(xs))
     return np.concatenate(out) if out else np.zeros(0, dtype=np.uint64)
+
+
+def is_loose_cycle(cycle) -> bool:
+    """True iff the edges, in this cyclic order, form a loose cycle: at
+    least 3 of them, each meeting the next in exactly one vertex, those
+    connecting vertices all distinct, and edges that are not neighbours
+    disjoint."""
+    ell = len(cycle)
+    sets = [set(e) for e in cycle]
+    joints = [sets[i] & sets[(i + 1) % ell] for i in range(ell)]
+    return (
+        ell >= 3
+        and all(len(m) == 1 for m in joints)
+        and len(set().union(*joints)) == ell
+        and not any(
+            sets[i] & sets[j] for i, j in combinations(range(ell), 2) if j - i not in (1, ell - 1)
+        )
+    )
+
+
+def loose_cycles(edges) -> Iterator[tuple]:
+    """Every loose cycle among the edges, once each: every subset of at
+    least 3 edges in every cyclic order that starts at its lowest index and
+    is not the reverse of another."""
+    for ell in range(3, len(edges) + 1):
+        for head, *rest in combinations(range(len(edges)), ell):
+            for order in permutations(rest):
+                cycle = tuple(edges[i] for i in (head, *order))
+                if order[0] < order[-1] and is_loose_cycle(cycle):
+                    yield cycle

@@ -20,6 +20,7 @@ from schurperturb.constructions import L2, mod5_construction
 from schurperturb.intset import IntSet
 from schurperturb.montecarlo import RngSpec, sweep
 from schurperturb.solver import SchurStatus
+from schurperturb.wickets import iter_wickets
 
 
 def run(capsys, *argv):
@@ -69,6 +70,11 @@ GOLDEN = [
     (("sweep", "--config", "{sweep}"), 0, "380581e9edb7d94f"),
     (("verify", "--suite", "hu"), 0, "270a82a6a4c6b389"),
     (("verify", "--suite", "prop31"), 0, "18aa232c30b5f582"),
+    # a 3-uniform obstruction whose loose cycle is a triangle, not the
+    # sunflower of its three edges through 1
+    (("obstruction", "construct:sparse:200,14", "1,7,11,15,18,23-24,29,40,49,59,62-63,70-71,"
+      "79-80,83-84,96,98,111,113,117,120,125-126,133,138,141,146,156,163-165,173,190-191,193,198",
+      "--n", "200"), 0, "924bf29eff0ad7d6"),
 ]
 
 
@@ -211,8 +217,7 @@ class TestWickets:
 
     def test_methods_agree(self, capsys):
         _, fast, _ = run(capsys, "wickets", "1-13")
-        _, slow, _ = run(capsys, "wickets", "1-13", "--method", "enumerate")
-        assert fast == slow
+        assert fast == f"{sum(1 for _ in iter_wickets(IntSet.full(13)))}\n"
 
 
 class TestHaStats:
@@ -392,3 +397,8 @@ class TestUsage:
     def test_bad_set(self, capsys):
         code, _, err = run(capsys, "check-schur", "construct:nope")
         assert code == EXIT_USAGE
+
+    def test_reversed_run(self, capsys):
+        code, out, err = run(capsys, "check-schur", "5-3")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error: bad set literal '5-3'")

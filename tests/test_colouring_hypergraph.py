@@ -159,8 +159,11 @@ class TestBuildHA:
             assert got == oracle_edges(a, n)
 
     def test_base_outside_ground(self):
-        with pytest.raises(ValueError):
-            build_HA(IntSet(10, [9]), 5)
+        for stats in (build_HA, ha_stats_fast):
+            for a_set in (IntSet(10, [9]), IntSet(30, [20])):
+                with pytest.raises(ValueError, match=r"base set must live inside \[1, n\]"):
+                    stats(a_set, 5)
+        assert ha_stats_fast(IntSet(30, [5]), 5) == ha_stats(build_HA(IntSet(30, [5]), 5))
 
 
 class TestStats:

@@ -198,6 +198,11 @@ class TestSerialization:
         assert IntSet(8).to_runs() == ""
         assert IntSet.from_runs("", 8) == IntSet(8)
 
+    @pytest.mark.parametrize("text", ["5-3", "1,4-2"])
+    def test_reversed_run_rejected(self, text):
+        with pytest.raises(ValueError, match="reversed run"):
+            IntSet.from_runs(text)
+
     def test_json_round_trip(self):
         s = IntSet(9, [2, 5, 7])
         assert IntSet.from_json(s.to_json(), 9) == s

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import schurperturb.solver as solver_module
-from oracles import is_schur_mask, is_sum_free_mask
+from oracles import is_loose_cycle, is_schur_mask, is_sum_free_mask, loose_cycles
 from schurperturb.cli import prop31_instances
 from schurperturb.constructions import construct_by_name, odd_set
 from schurperturb.intset import (
@@ -236,6 +236,39 @@ class TestLooseCycle:
         h = HostingHypergraph(5, IntSet.full(5), [(1, 2)])
         with pytest.raises(ValueError):
             find_loose_cycle(h, IntSet(5))
+
+    @staticmethod
+    def search(edges):
+        n = max(max(e) for e in edges)
+        return find_loose_cycle(HostingHypergraph(n, IntSet.full(n), edges), IntSet(n))
+
+    def test_agrees_with_enumeration(self):
+        rng = random.Random(16)
+        found = 0
+        for _ in range(1200):
+            verts = range(1, rng.randint(5, 10))
+            edges = list({tuple(sorted(rng.sample(verts, 3))) for _ in range(rng.randint(3, 7))})
+            cycle = self.search(edges)
+            assert (cycle is None) == (next(loose_cycles(edges), None) is None), edges
+            if cycle is not None:
+                found += 1
+                assert is_loose_cycle(cycle.edges), (edges, cycle.edges)
+                assert len(set(cycle.edges)) == len(cycle.edges) and set(cycle.edges) <= set(edges)
+                assert not set.intersection(*map(set, cycle.edges))
+        assert 300 < found < 900  # both answers are common
+
+    @pytest.mark.parametrize("k", [3, 33])
+    def test_cycle_behind_pendant_edges(self, k):
+        # edge i of the cycle is (100 + i, 10 + i - 1, 10 + i), indices mod k,
+        # with a pendant edge at 100 + i listed before every cycle edge
+        pendants = [(100 + i, 300 + 2 * i, 301 + 2 * i) for i in range(k)]
+        ring = [(100 + i, 10 + (i - 1) % k, 10 + i) for i in range(k)]
+        cycle = self.search(pendants + ring)
+        assert cycle is not None and sorted(cycle.edges) == sorted(ring)
+        assert is_loose_cycle(cycle.edges)
+
+    def test_sunflower_is_not_a_cycle(self):
+        assert self.search([(1, 2, 3), (1, 4, 5), (1, 6, 7)]) is None
 
 
 class TestNodeAccounting:

@@ -83,7 +83,7 @@ class TestCountWickets:
         for _ in range(15):
             n = rng.randint(10, 26)
             s = IntSet(n, [e for e in range(1, n + 1) if rng.random() < 0.7])
-            assert count_wickets(s) == count_wickets(s, method="enumerate")
+            assert count_wickets(s) == sum(1 for _ in iter_wickets(s))
 
     def test_random_sets_vs_oracle(self):
         rng = random.Random(11)
@@ -106,10 +106,6 @@ class TestCountWickets:
         with pytest.raises(ValueError, match="chi must be a subset of s"):
             count_wickets(IntSet(10, [1, 2, 3]), IntSet(12, [1, 12]))
         assert count_wickets(IntSet.full(14), IntSet.full(14)) == count_wickets(IntSet.full(14))
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            count_wickets(IntSet(5), method="bogus")
 
     def test_unordered_divides_ordered(self):
         s = IntSet.full(14)
