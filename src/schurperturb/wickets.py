@@ -11,12 +11,19 @@ The kernels are batched: one row per (x1, x2), one column per element of
 [0, n], so every shift by x_i is a per-row gather on a row matrix. Rows go
 in batches of at most BATCH_CELLS cells, which bounds the working memory at
 a few dozen arrays of that many cells whatever n is.
+
+count_wickets_containing keeps a table of the (x1, x2) rows of [n] for the
+last ROW_TABLE_NS values of n, with each row's leg-triple count once it is
+computed, so calls that repeat an n share that work. Nothing is built at
+import.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from itertools import product
+import operator
+from itertools import combinations, permutations, product
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -29,6 +36,9 @@ FACT9 = math.factorial(9)
 # (row, leg split) items count_wickets_containing evaluates at once.
 BATCH_CELLS = 1 << 18
 ITEM_BATCH = 1 << 16
+# Row tables of count_wickets_containing kept at once, one per n; the
+# least recently used is dropped.
+ROW_TABLE_NS = 4
 
 
 def is_wicket(entries, n: int) -> bool:
@@ -198,149 +208,295 @@ def count_wickets_unordered(s: IntSet, chi: IntSet | None = None) -> int:
 def count_wickets_containing(u, n: int) -> int:
     """Wickets in [n]^9 whose entry set contains every element of u.
 
-    Rows are the (x1, x2) with x1 != x2 and x1 + x2 <= n, grouped by the
-    part u_rest of u outside {x1, x2, x3}; a group with |u_rest| > 6 has no
-    wicket. Each element of u_rest lies in exactly one leg, so a wicket is
-    counted once under its split of u_rest into leg groups: a 2-element
-    group {a < b} is leg i itself and forces x_i = b - a, a 1-element group
-    {a} is leg i as {a, a + x_i} or {a - x_i, a}, and the legs with no group
-    are counted on the elements left free. Each group's splits are listed
-    once; a split whose forced differences match no row is skipped before
-    any leg is built. Every other split gives one item per row it can use,
-    and the items with the same free legs are evaluated together. Time
-    O(n^2 (n + |u|) + (items with a free leg) * n), memory
-    O(n^2 + ITEM_BATCH + BATCH_CELLS).
+    Rows are the (x1, x2) with x1 != x2 and x1 + x2 <= n, from the row
+    table of n (`_RowTable`), grouped by the elements of u outside their
+    x's; a group with more than six has no wicket. Each such element lies
+    in exactly one leg, so a wicket is counted once under its split of
+    them into legs: a pair {a < b} is leg i itself and forces x_i = b - a,
+    a single a is leg i as {a, a + x_i} or {a - x_i, a}, and the legs left
+    free are counted on the elements outside u, the row's x's and the
+    fixed legs. The splits come from static tables per group size. A
+    group whose x's hold all of u reads its rows' leg-triple counts from
+    the table. Splits into single elements are checked on every row of
+    their group at once (`_single_splits`). A split with a pair takes its
+    group's rows with x_i = b - a, one run of the rows sorted by group and
+    x_i, or its one row when it has two pairs (`_pair_items`). The items
+    left with free legs, from every group, are counted in one `_legs` and
+    one `_two_leg_disjoint` pass per ITEM_BATCH items (`_FreeLegs`).
+
+    Time O(r (log r + |u|) + items * n) for the r < n^2 / 2 rows, where
+    items is at most 48 r, and at most n per split when a split has a
+    pair (every split does once |u| >= 4). Memory O(r |u| + ITEM_BATCH +
+    BATCH_CELLS) per call, besides the row tables of the last
+    ROW_TABLE_NS values of n, O(n^2) each, which later calls reuse.
+    Elements of u must be integers (`operator.index`), else TypeError.
     """
-    u_set = set(u)
+    u_set = {operator.index(e) for e in u}
     if not u_set:
         raise ValueError("u must be nonempty")
     if any(not 1 <= e <= n for e in u_set) or len(u_set) > 9:
         return 0
-    x1, x2 = np.nonzero(np.add.outer(np.arange(n + 1), np.arange(n + 1)) <= n)
-    keep = (x1 >= 1) & (x2 >= 1) & (x1 != x2)
-    x1, x2 = x1[keep], x2[keep]
-    x3 = x1 + x2
+    table = _row_table(n)
+    rows = table.x.shape[1]
     uu = np.array(sorted(u_set), dtype=np.int64)
-    outside = (uu != x1[:, None]) & (uu != x2[:, None]) & (uu != x3[:, None])
-    codes = outside @ (1 << np.arange(len(uu)))
+    # code[r] has bit j set when uu[j] is not one of row r's x's
+    code = (table.x[:, :, None] != uu).all(axis=0) @ (1 << np.arange(len(uu)))
+    # per leg i, the rows sorted by code and then by x_i: each group's
+    # rows with x_i = d are one run of by_leg[i]
+    key = ((np.arange(3)[:, None] << len(uu)) + code) * (n + 1) + table.x
+    by_leg = np.argsort(key, axis=1, kind="stable")
+    key = np.take_along_axis(key, by_leg, axis=1).ravel()
+    codes, group_rows = np.unique(key[:rows] // (n + 1), return_counts=True)
+    bits = (codes[:, None] >> np.arange(len(uu))) & 1 == 1
+    sizes = bits.sum(axis=1)[np.repeat(np.arange(len(codes)), group_rows)]  # per row of by_leg[0]
+    # state[n + v]: 0 for v in [1, n] outside u, 1 for v in u, 2 outside [1, n]
+    state = np.full(3 * n + 1, 2, dtype=np.int8)
+    state[n + 1 : 2 * n + 1] = 0
+    state[n + uu] = 1
+    free_legs = _FreeLegs(state[n : 2 * n + 1] == 0)
+    total = int(table.disjoint_triples(by_leg[0, sizes == 0]).sum())
+    for k in range(1, min(len(uu), 3) + 1):
+        in_k = by_leg[0, sizes == k]
+        if len(in_k):
+            vals = np.broadcast_to(uu, (len(in_k), len(uu)))[(code[in_k, None] >> np.arange(len(uu))) & 1 == 1]
+            total += _single_splits(table.x[:, in_k], vals.reshape(-1, k), state, free_legs)
+    group, a, diff, sign = _pair_entries(uu, bits)
+    # A split with one pair ranges over its group's rows with x_i = b - a.
+    # One with two pairs has at most one row, found from its differences,
+    # and drops it when it lies in another group.
+    i0 = np.argmax(diff > 0, axis=0)
+    target = ((i0 << len(uu)) + codes[group]) * (n + 1) + diff[i0, np.arange(len(group))]
+    starts = np.searchsorted(key, target)
+    lengths = np.searchsorted(key, target, side="right") - starts
+    two = np.count_nonzero(diff, axis=0) >= 2
+    row = table.row_of(diff, two)
+    position = np.empty(rows, dtype=np.int64)  # of each row in by_leg[0]
+    position[by_leg[0]] = np.arange(rows)
+    starts = np.where(two, position[np.maximum(row, 0)], starts)
+    lengths = np.where(two, row >= 0, lengths)
+    items = int(lengths.sum())
+    for lo in range(0, items, ITEM_BATCH):
+        e, pos = _ranges(starts, lengths, lo, min(lo + ITEM_BATCH, items))
+        r = by_leg.ravel()[pos]
+        ok = code[r] == codes[group[e]]
+        total += _pair_items(state, table.x[:, r], ok, a[:, e], diff[:, e], sign[:, e], free_legs)
+    return total + free_legs.count()
+
+
+def _single_splits(x: np.ndarray, vals: np.ndarray, state: np.ndarray, free_legs: _FreeLegs) -> int:
+    """Wickets through the rows with x's x (3, rows) whose elements of u
+    outside those x's, vals (rows, k) ascending with k <= 3, are single
+    elements on distinct legs. Element j on leg i has its other end at
+    vals[j] + x_i or vals[j] - x_i, which must lie in [1, n] outside u and
+    the x's and differ from the other elements' ends. Splits with free
+    legs go to free_legs; returns the count of the others."""
+    n = (len(state) - 1) // 3
+    k = vals.shape[1]
+    legs, below, free = _single_table(k)
+    j = np.arange(k)
     total = 0
-    for code in np.unique(codes).tolist():
-        u_rest = [int(a) for i, a in enumerate(uu) if code >> i & 1]
-        if len(u_rest) <= 6:
-            rows = codes == code
-            total += _count_required(x1[rows], x2[rows], u_rest, n)
-    return total
-
-
-def _leg_splits(u_rest: list[int], by_diff: list[dict], leg: int = 0, rows=None):
-    """Every split of u_rest into groups for legs leg..2, at most two
-    elements each, with the rows it can use. A 2-element group {a < b} for
-    leg i keeps only the rows in by_diff[i][b - a] (those with x_i = b - a);
-    splits left with no row are never built. Yields (groups, rows), rows
-    None when no group restricts them."""
-    if leg == 3:
-        if not u_rest:
-            yield [], rows
-        return
-    if len(u_rest) > 2 * (3 - leg):
-        return
-    for rest, r in _leg_splits(u_rest, by_diff, leg + 1, rows):
-        yield [[]] + rest, r
-    for k, a in enumerate(u_rest):
-        others = u_rest[:k] + u_rest[k + 1 :]
-        for rest, r in _leg_splits(others, by_diff, leg + 1, rows):
-            yield [[a]] + rest, r
-        for b in u_rest[k + 1 :]:
-            hit = by_diff[leg].get(b - a, frozenset())
-            if rows is not None:
-                hit = hit & rows
-            if hit:
-                others2 = [c for c in others if c != b]
-                for rest, r in _leg_splits(others2, by_diff, leg + 1, hit):
-                    yield [[a, b]] + rest, r
-
-
-def _rows_by_value(x: np.ndarray) -> dict[int, frozenset[int]]:
-    """The row indices of x grouped by their value."""
-    order = np.argsort(x, kind="stable")
-    values, starts = np.unique(x[order], return_index=True)
-    return {d: frozenset(g.tolist()) for d, g in zip(values.tolist(), np.split(order, starts[1:]))}
-
-
-def _count_required(x1: np.ndarray, x2: np.ndarray, u_rest: list[int], n: int) -> int:
-    """Sum over the rows (x1, x2) of the wickets through them whose legs
-    cover u_rest, an ascending list disjoint from every row's x's.
-
-    Every split of u_rest, with each 1-element group at either end of its
-    leg, becomes one item per row it can use. Items with the same legs
-    left free are evaluated together, at most ITEM_BATCH at a time."""
-    xleg = (x1, x2, x1 + x2)
-    if not u_rest:
-        return sum(
-            int(_disjoint_triples(x1[b], x2[b], _open_rows(n, [xl[b] for xl in xleg])).sum())
-            for b in _batches(len(x1), n)
-        )
-    rest = np.array(u_rest)
-    by_diff = [_rows_by_value(xl) for xl in xleg]
-    all_rows = np.arange(len(x1))
-    total = 0
-    pending: dict[tuple[int, ...], list] = {}
-    sizes: dict[tuple[int, ...], int] = {}
-    for groups, rows in _leg_splits(u_rest, by_diff):
-        idx = all_rows if rows is None else np.array(sorted(rows))
-        free = tuple(i for i, g in enumerate(groups) if not g)
-        fixed = [g for g in groups if g]
-        for ends in product((0, 1), repeat=len(fixed)):
-            if any(e and len(g) == 2 for g, e in zip(fixed, ends)):
-                continue  # a 2-element group is its leg, least element first
-            template = [v for g, e in zip(fixed, ends) for v in (len(g), g[0], e)]
-            pending.setdefault(free, []).append((idx, template))
-            sizes[free] = sizes.get(free, 0) + len(idx)
-            if sizes[free] >= ITEM_BATCH:
-                total += _count_items(xleg, free, pending.pop(free), rest, n)
-                sizes[free] = 0
-    for free, items in pending.items():
-        total += _count_items(xleg, free, items, rest, n)
-    return total
-
-
-def _count_items(xleg, free: tuple[int, ...], items, rest: np.ndarray, n: int) -> int:
-    """Wickets over (row indices, fixed-leg template) items whose legs in
-    free have no element of rest. Fixed leg k of a template holds g_k
-    elements of rest, the least a_k at end e_k: it is the pair {lo, lo + x}
-    with lo = a_k - e_k x, which must lie in [1, n], avoid the row's x's
-    and contain exactly g_k elements of rest. Fixed legs are pairwise
-    disjoint, and the free legs are counted on the elements left over."""
-    r = np.concatenate([idx for idx, _ in items])
-    tmpl = np.repeat(np.array([legs for _, legs in items]), [len(idx) for idx, _ in items], axis=0)
-    x = [xl[r] for xl in xleg]
-    # in_rest[n + e] = 1 iff e is in rest, for e in [-n, 2n]
-    in_rest = np.zeros(3 * n + 1, dtype=np.int8)
-    in_rest[n + rest] = 1
-    ok = np.ones(len(r), dtype=bool)
-    ends = []
-    for k, i in enumerate(i for i in range(3) if i not in free):
-        g, a, e = tmpl[:, 3 * k], tmpl[:, 3 * k + 1], tmpl[:, 3 * k + 2]
-        lo = a - e * x[i]
-        hi = lo + x[i]
-        ok &= (lo >= 1) & (hi <= n) & (in_rest[n + lo] + in_rest[n + hi] == g)
-        for xj in x:
-            ok &= (lo != xj) & (hi != xj)
-        for lo_m, hi_m in ends:
-            ok &= (lo != lo_m) & (lo != hi_m) & (hi != lo_m) & (hi != hi_m)
-        ends.append((lo, hi))
-    if not free:
-        return int(np.count_nonzero(ok))
-    cols = [arr[ok] for arr in x] + [arr[ok] for leg in ends for arr in leg]
-    total = 0
-    for b in _batches(len(cols[0]), n):
-        t = _open_rows(n, [c[b] for c in cols])
-        t[:, rest] = False
-        if len(free) == 1:
-            total += int(_legs(t, cols[free[0]][b]).sum())
+    step = max(1, ITEM_BATCH // len(legs))
+    for lo in range(0, x.shape[1], step):
+        xs, v = x[:, lo : lo + step], vals[lo : lo + step].T
+        # o[j, i, 0 or 1, row]: element j's other end on leg i, above or below
+        o = v[:, None, None, :] + np.array([1, -1])[:, None] * xs[:, None, :]
+        good = (state[n + o] == 0) & (o != xs[0]) & (o != xs[1]) & (o != xs[2])
+        o, good = o[j, legs, below], good[j, legs, below]
+        ok = good.all(axis=1)
+        for p, q in combinations(range(k), 2):
+            ok &= o[:, p] != o[:, q]
+        split, row = np.nonzero(ok)
+        if k == 3:
+            total += len(split)
         else:
-            total += int(_two_leg_disjoint(cols[free[0]][b], cols[free[1]][b], t).sum())
+            free_legs.add(xs[free[split], row[:, None]], np.concatenate((xs[:, row].T, o[split, :, row]), axis=1))
     return total
+
+
+def _pair_items(state, x, ok, a, diff, sign, free_legs: _FreeLegs) -> int:
+    """Wickets over (row, split) items, one per column of the (3, items)
+    arrays: the row's x's, and per leg the least element a of u on it (0
+    when the leg is free), the pair difference b - a (0 unless a pair) and
+    the side of the leg's other end o = a + sign * x. A fixed leg needs o
+    in [1, n], outside u for a single element and equal to b for a pair
+    (so x_i = b - a), and o may be neither an x nor another leg's o; ok
+    marks the items whose row is in their split's group. Items with free
+    legs go to free_legs; returns the count of the others."""
+    n = (len(state) - 1) // 3
+    fixed = a > 0
+    o = a + sign * x
+    for i in range(3):
+        ok &= ~fixed[i] | (
+            (state[n + o[i]] == (diff[i] > 0))
+            & ((diff[i] == 0) | (x[i] == diff[i]))
+            & (o[i] != x[0])
+            & (o[i] != x[1])
+            & (o[i] != x[2])
+        )
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        ok &= ~(fixed[i] & fixed[j]) | (o[i] != o[j])
+    n_free = 3 - fixed.sum(axis=0)
+    holes = np.concatenate((x, np.where(fixed & (diff == 0), o, 0))).T
+    for k in (1, 2):
+        sel = ok & (n_free == k)
+        free_legs.add(x[:, sel].T[~fixed[:, sel].T].reshape(-1, k), holes[sel])
+    return int(np.count_nonzero(ok & (n_free == 0)))
+
+
+class _FreeLegs:
+    """Items with one or two legs left free, counted together: per item
+    the x's of its free legs and up to six elements besides u those legs
+    must avoid (0 for none). A pass runs once ITEM_BATCH items have come,
+    and at the end."""
+
+    HOLES = 6
+
+    def __init__(self, open_row: np.ndarray):
+        self.open_row = open_row  # True on [1, n] outside u
+        self.items: dict[int, list] = {1: [], 2: []}
+        self.size = 0
+        self.total = 0
+
+    def add(self, x: np.ndarray, holes: np.ndarray) -> None:
+        if len(x):
+            padded = np.zeros((len(x), self.HOLES), dtype=np.int64)
+            padded[:, : holes.shape[1]] = holes
+            self.items[x.shape[1]].append((x, padded))
+            self.size += len(x)
+        if self.size >= ITEM_BATCH:
+            self.count()
+
+    def count(self) -> int:
+        """The running total, after a pass over the items pending."""
+        n = len(self.open_row) - 1
+        for k, pending in self.items.items():
+            if not pending:
+                continue
+            x = np.concatenate([p[0] for p in pending])
+            holes = np.concatenate([p[1] for p in pending])
+            for b in _batches(len(x), n):
+                t = np.repeat(self.open_row[None, :], len(x[b]), axis=0)
+                t[np.arange(len(t))[:, None], holes[b]] = False
+                if k == 1:
+                    self.total += int(_legs(t, x[b, 0]).sum())
+                else:
+                    self.total += int(_two_leg_disjoint(x[b, 0], x[b, 1], t).sum())
+        self.items = {1: [], 2: []}
+        self.size = 0
+        return self.total
+
+
+def _pair_entries(uu: np.ndarray, bits: np.ndarray):
+    """One entry per group of rows with two to six elements of uu outside
+    their x's (bits[g] marks them) and per split of those elements with a
+    pair (`_pair_table`): the group, and per leg (rows of the (3, entries)
+    arrays) the least element on it (0 when free), the pair difference
+    b - a (0 unless a pair) and the side of the other end."""
+    none = np.zeros((3, 0), dtype=np.int64)
+    out = [(np.zeros(0, dtype=np.int64), none, none, none)]
+    for k in range(2, min(len(uu), 6) + 1):
+        gk = np.flatnonzero(bits.sum(axis=1) == k)
+        if not len(gk):
+            continue
+        first, second, sign = _pair_table(k)
+        # column 0 stands for "no element", then the group's elements ascending
+        vals = np.zeros((len(gk), k + 1), dtype=np.int64)
+        vals[:, 1:] = np.broadcast_to(uu, (len(gk), len(uu)))[bits[gk]].reshape(-1, k)
+        a = vals[:, first + 1]
+        diff = np.where(second >= 0, vals[:, second + 1] - a, 0)
+        out.append((np.repeat(gk, len(first)), *(v.reshape(-1, 3).T for v in (a, diff, np.broadcast_to(sign, a.shape)))))
+    group, a, diff, sign = zip(*out)
+    return np.concatenate(group), np.hstack(a), np.hstack(diff), np.hstack(sign)
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray, lo: int, hi: int):
+    """Positions starts[i], ..., starts[i] + lengths[i] - 1 of every range
+    i, numbered consecutively over all ranges: those numbered lo..hi-1,
+    with the index i of each one's range."""
+    ends = np.cumsum(lengths)
+    pos = np.arange(lo, hi)
+    which = np.searchsorted(ends, pos, side="right")
+    return which, starts[which] + pos - (ends[which] - lengths[which])
+
+
+@functools.cache
+def _single_table(k: int):
+    """The splits of k <= 3 single elements onto distinct legs: per split
+    the leg of each element, whether its other end lies below it (0 or
+    1), and the legs left free, ascending."""
+    legs, below, free = [], [], []
+    for p in permutations(range(3), k):
+        for b in product((0, 1), repeat=k):
+            legs.append(p)
+            below.append(b)
+            free.append([i for i in range(3) if i not in p])
+    return tuple(np.array(v, dtype=np.int64) for v in (legs, below, free))
+
+
+@functools.cache
+def _pair_table(k: int):
+    """The splits of k ascending elements of u (indices 0..k-1) into the
+    three legs with at least one pair, at most two elements on a leg and a
+    single one at either end: per split and leg the index of the least
+    element on it and of the second (-1 for none), and the side of the
+    leg's other end (+1 above, -1 below; +1 for a pair or a free leg)."""
+    first, second, sign = [], [], []
+    for legs in product(range(3), repeat=k):
+        on = [[j for j in range(k) if legs[j] == i] for i in range(3)]
+        if max(map(len, on)) != 2:
+            continue
+        singles = [i for i in range(3) if len(on[i]) == 1]
+        for sides in product((1, -1), repeat=len(singles)):
+            first.append([g[0] if g else -1 for g in on])
+            second.append([g[1] if len(g) == 2 else -1 for g in on])
+            side = [1, 1, 1]
+            for i, sd in zip(singles, sides):
+                side[i] = sd
+            sign.append(side)
+    return tuple(np.array(v, dtype=np.int64) for v in (first, second, sign))
+
+
+class _RowTable:
+    """The rows (x1, x2, x3) of [n] with x1 != x2 and x3 = x1 + x2 <= n,
+    ordered by x1 and then x2: x[i] holds leg i's differences. Each row's
+    count of ordered pairwise disjoint leg triples avoiding its x's is
+    filled in on first use. Memory O(n^2)."""
+
+    def __init__(self, n: int):
+        self.n = n
+        counts = np.arange(n - 1, 0, -1)  # x2 in [1, n - x1] for x1 = 1..n-1
+        x1 = np.repeat(np.arange(1, n, dtype=np.int64), counts)
+        x2 = np.arange(len(x1)) - np.repeat(np.cumsum(counts) - counts, counts) + 1
+        keep = x1 != x2
+        x1, x2 = x1[keep], x2[keep]
+        self.x = np.stack((x1, x2, x1 + x2))
+        self.start = np.searchsorted(x1, np.arange(n + 1))  # first row of each x1
+        self._triples = np.full(len(x1), -1, dtype=np.int64)
+
+    def row_of(self, diff: np.ndarray, where: np.ndarray) -> np.ndarray:
+        """Per column of diff (the legs' differences, 0 where unknown), the
+        row with those differences where where is set and two of them are
+        known; -1 elsewhere and where there is no such row."""
+        x1, x2, x3 = diff
+        x1 = np.where(x1 > 0, x1, x3 - x2)
+        x2 = np.where(x2 > 0, x2, x3 - x1)
+        ok = where & (x1 >= 1) & (x2 >= 1) & (x1 != x2) & (x1 + x2 <= self.n)
+        row = self.start[np.where(ok, x1, 1)] + x2 - 1 - (x2 > x1)
+        return np.where(ok, row, -1)
+
+    def disjoint_triples(self, rows: np.ndarray) -> np.ndarray:
+        """Per row of rows, its count of ordered pairwise disjoint leg
+        triples avoiding its x's, computed once per table."""
+        todo = rows[self._triples[rows] < 0]
+        for b in _batches(len(todo), self.n):
+            x1, x2, x3 = self.x[:, todo[b]]
+            self._triples[todo[b]] = _disjoint_triples(x1, x2, _open_rows(self.n, [x1, x2, x3]))
+        return self._triples[rows]
+
+
+@functools.lru_cache(maxsize=ROW_TABLE_NS)
+def _row_table(n: int) -> _RowTable:
+    return _RowTable(n)
 
 
 def claim_extension_bound(u_size: int, n: int) -> int:

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -137,7 +138,7 @@ class TestCountContaining:
 
     def test_enumeration_every_size(self):
         rng = random.Random(24)
-        for n in (12, 17, 24):
+        for n in (12, 17, 24, 30):
             for size in range(1, 10):
                 for _ in range(4):
                     u = rng.sample(range(1, n + 1), size)
@@ -149,15 +150,47 @@ class TestCountContaining:
             assert count_wickets_containing(u, 13) == enumerated_containing(u, 13) >= 1
 
     def test_small_batches(self, monkeypatch):
-        # batches of one or a few rows and items give the same counts
+        # batches of one or a few rows and items give the same counts, the
+        # row table's leg-triple counts included (the table starts empty)
         rng = random.Random(25)
-        cases = [rng.sample(range(1, 18), size) for size in range(1, 8)]
+        cases = [rng.sample(range(1, 18), size) for size in range(1, 10)]
         want = [enumerated_containing(u, 17) for u in cases]
         full = count_wickets(IntSet.full(17))
         monkeypatch.setattr(wickets, "BATCH_CELLS", 40)
         monkeypatch.setattr(wickets, "ITEM_BATCH", 5)
+        wickets._row_table.cache_clear()
         assert [count_wickets_containing(u, 17) for u in cases] == want
         assert count_wickets(IntSet.full(17)) == full
+        wickets._row_table.cache_clear()
+
+    def test_row_tables_interleaved(self):
+        # more values of n than the cache holds, in turn and repeated: the
+        # same counts whether a call builds its table or reuses one
+        rng = random.Random(26)
+        ns = (12, 24, 17, 12, 30, 13, 15, 24, 12)
+        assert len(set(ns)) > wickets.ROW_TABLE_NS
+        wickets._row_table.cache_clear()
+        for n in ns:
+            for size in (1, 3, 5, 7):
+                u = rng.sample(range(1, n + 1), size)
+                want = enumerated_containing(u, n)
+                assert count_wickets_containing(u, n) == want
+                assert count_wickets_containing(u, n) == want
+                assert count_wickets_containing(u[::-1], n) == want
+
+    def test_tiny_n(self):
+        for n in range(1, 7):
+            for size in (1, 2, 3):
+                for u in itertools.combinations(range(1, n + 1), size):
+                    assert count_wickets_containing(u, n) == enumerated_containing(u, n)
+
+    def test_non_integral_elements_rejected(self):
+        # a float is not truncated to the count of its integer part
+        with pytest.raises(TypeError):
+            count_wickets_containing([3.5], 12)
+        with pytest.raises(TypeError):
+            count_wickets_containing([2, 3.0], 12)
+        assert count_wickets_containing([np.int64(3)], 12) == count_wickets_containing([3], 12) == 374
 
     def test_singletons_sum_to_nine_counts(self):
         n = 20
