@@ -11,7 +11,7 @@ ha_stats_fast computes the same numbers analytically from (A, n) so that
 million-edge instances never need materializing. The two agree everywhere
 they are both feasible (cross-checked in tests). ha_stats and
 codegree_delta_exact share one count of the edges through each j-set of
-vertices.
+vertices; ha_stats_fast takes its row blocks from intset.row_blocks.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .intset import IntSet, count_ordered_triples
+from .intset import IntSet, count_ordered_triples, row_blocks
 from .solver import BLUE, RED, ColourConstraint, SolveOutcome, find_schur_colouring
 
 Edge = tuple[frozenset[int], frozenset[int], tuple[int, ...]]
@@ -109,11 +109,6 @@ def ha_stats(h: ColouringHypergraph) -> HAStats:
     )
 
 
-# Cells of one row block of ha_stats_fast's run Gram matrix, of its target
-# pair test and of one chunk of its shared-pair sums.
-HA_BLOCK_CELLS = 1 << 18
-
-
 def _pair_counts(a: np.ndarray, n: int) -> np.ndarray:
     """k_a: the number of hosting pairs of each target a."""
     return (a - 1) // 2 + (n - a) - (a <= n - a)
@@ -123,13 +118,12 @@ def _double_pairs(a: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.nda
     """Every pair of targets a > a2 with a common hosting pair {u, v}, as
     index arrays (i, j) into the ascending array a and the arrays u < v: it
     exists iff a - a2 is even, a != 3 a2 and v = (a + a2) / 2 <= n. Rows
-    of targets a are taken in blocks of at most HA_BLOCK_CELLS cells."""
-    step = max(1, HA_BLOCK_CELLS // a.size)
+    of targets a are taken in row_blocks."""
     i, j = [], []
-    for lo in range(0, a.size, step):
-        big = a[lo : lo + step, None]
+    for b in row_blocks(a.size, a.size):
+        big = a[b, None]
         bi, bj = np.nonzero((big > a) & ((big - a) % 2 == 0) & (big != 3 * a) & (big + a <= 2 * n))
-        i.append(lo + bi)
+        i.append(b.start + bi)
         j.append(bj)
     i, j = np.concatenate(i), np.concatenate(j)
     return i, j, (a[i] - a[j]) // 2, (a[i] + a[j]) // 2
@@ -151,17 +145,17 @@ def _runs(a: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The starts and sizes of the runs of [0, n] on which every row of
     _elem_pair_degrees is constant: cut at the ends of each target's three
     intervals and on both sides of its excluded points a / 2, a and 2a.
-    At most min(n + 1, 9 |a| + 2) runs."""
+    At most min(n + 1, 9 |a| + 2) runs (no np.unique: it imports numpy.ma)."""
     half = a[a % 2 == 0] // 2
     cuts = np.concatenate([[0, 1], a, a + 1, n - a + 1, half, half + 1, 2 * a, 2 * a + 1])
-    starts = np.unique(cuts[(cuts >= 0) & (cuts <= n)])
+    starts = np.flatnonzero(np.bincount(cuts[cuts <= n], minlength=n + 1))
     return starts, np.diff(starts, append=n + 1)
 
 
 def _gram_row_blocks(c: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
     """G = c^T c for an int8 matrix c whose rows change value at few
     columns, exactly in int64, as row blocks (r0, G[r0 : r0 + rows]) of at
-    most HA_BLOCK_CELLS cells.
+    most intset.BLOCK_CELLS cells (row_blocks).
 
     With d a row's differences along the columns, the 2-D difference of
     its outer product is d d^T: one signed corner per pair of changes, so
@@ -186,10 +180,9 @@ def _gram_row_blocks(c: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
     order = np.argsort(corner, kind="stable")
     corner, weight = corner[order], weight[order]
 
-    step = max(1, HA_BLOCK_CELLS // q)
     above = np.zeros(q, dtype=np.int64)
-    for r0 in range(0, q, step):
-        r1 = min(q, r0 + step)
+    for b in row_blocks(q, q):
+        r0, r1 = b.start, b.stop
         lo, hi = np.searchsorted(corner, [r0 * q, r1 * q])
         g = np.zeros((r1 - r0, q), dtype=np.int64)
         np.add.at(g.ravel(), corner[lo:hi] - r0 * q, weight[lo:hi])
@@ -252,11 +245,11 @@ def ha_stats_fast(a_set: IntSet, n: int) -> HAStats:
     each of the q runs of _runs, so (C^T C)[x, z] = G[run(x), run(z)] for
     the q x q Gram matrix G of the runs, summed exactly in int64 from a few
     signed rectangles per target and taken in row blocks of at most
-    HA_BLOCK_CELLS cells (_gram_row_blocks); the corrections touch at most
-    4 cells per shared pair (_cross_pair_degree). The triple degrees scan
-    the shared pairs over the runs too. Time O(|A| n + q^2) plus
-    O(|A|^2 q) for the shared pairs at most, memory
-    O(|A| n + |A|^2 + HA_BLOCK_CELLS), with q <= min(n + 1, 9 |A| + 2),
+    intset.BLOCK_CELLS cells (_gram_row_blocks); the corrections touch at
+    most 4 cells per shared pair (_cross_pair_degree). The triple degrees
+    scan the shared pairs over the runs in row_blocks. Time
+    O(|A| n + q^2) plus O(|A|^2 q) for the shared pairs at most, memory
+    O(|A| n + |A|^2 + BLOCK_CELLS), with q <= min(n + 1, 9 |A| + 2),
     and no floating-point product: at n = 2000, 2 ms and 1 MB for
     |A| = 45 and 0.14 s and 28 MB for |A| = 1000 on a 2-core x86 machine.
     """
@@ -285,11 +278,9 @@ def ha_stats_fast(a_set: IntSet, n: int) -> HAStats:
     delta3 = int(c[k > 0].max(initial=0))
     less_u = (sizes[ru] == 1 + (ru == rv)).astype(np.int8)
     less_v = ((ru != rv) & (sizes[rv] == 1)).astype(np.int8)
-    rows = max(1, HA_BLOCK_CELLS // q)
-    for lo in range(0, len(i), rows):
+    for part in row_blocks(len(i), q):
         if delta3 == 2 * c.max():
             break
-        part = slice(lo, lo + rows)
         vec = c[i[part]] + c[j[part]]
         r = np.arange(len(vec))
         vec[r, ru[part]] -= less_u[part]

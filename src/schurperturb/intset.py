@@ -26,8 +26,8 @@ MAX_GROUND = 1 << 24
 FFT_BLOCK = 1 << 18
 FFT_MEMORY_CAP = 128 * FFT_BLOCK
 
-# Cells of one chunk of the pair finder's candidate matrix.
-PAIR_CHUNK_CELLS = 1 << 20
+# Cells (rows x width) of one row block of every batched counting kernel.
+BLOCK_CELLS = 1 << 18
 
 # Largest n for which enumerate_large_sum_free will run exhaustively.
 EXHAUSTIVE_SUM_FREE_LIMIT = 26
@@ -181,6 +181,13 @@ def indicator(s: IntSet) -> np.ndarray:
     rounded up to a whole byte (length 0 for the empty set); one pass over
     the mask."""
     return mask_bits(s.mask)
+
+
+def row_blocks(rows: int, width: int) -> Iterator[slice]:
+    """Consecutive slices covering range(rows), each of at most BLOCK_CELLS
+    cells of rows of the given width, or of one row when a row is wider."""
+    step = max(1, BLOCK_CELLS // width)
+    return (slice(lo, min(lo + step, rows)) for lo in range(0, rows, step))
 
 
 def mask_bits(m: int) -> np.ndarray:
@@ -351,12 +358,12 @@ def _sum_pairs(s: IntSet) -> tuple[np.ndarray, np.ndarray]:
 
     Only x <= max(s) / 2 can be the smaller summand, and its partners y lie
     in [x, max(s) - x]. Rows x are taken in chunks whose candidate matrix
-    (x <= y and x + y in s) has at most PAIR_CHUNK_CELLS cells. The matrix
-    is int32 while 2 max(s) < 2^31 (always, below MAX_GROUND), and every
-    sum x + y <= 2 max(s) indexes a lookup of length 2 max(s) + 2 without a
-    clamp. Working memory O(PAIR_CHUNK_CELLS + max s) bytes (under 12 MB
-    for a 2000-element set at n = 2 * 10^6), time O(sum over x of
-    |s cap [x, max s - x]|) plus the output.
+    (x <= y and x + y in s) has at most BLOCK_CELLS cells (or one row). The
+    matrix is int32 while 2 max(s) < 2^31 (always, below MAX_GROUND), and
+    every sum x + y <= 2 max(s) indexes a lookup of length 2 max(s) + 2
+    without a clamp. Working memory O(BLOCK_CELLS + max s) bytes (7.6 MB
+    for a 2000-element set at n = 2 * 10^6, 6 MB of it the indicator and
+    the lookup), time O(sum over x of |s cap [x, max s - x]|) plus output.
     """
     ind = indicator(s)
     e = np.flatnonzero(ind)
@@ -371,7 +378,7 @@ def _sum_pairs(s: IntSet) -> tuple[np.ndarray, np.ndarray]:
     lo = 0
     while lo < n_rows:
         cols = e[lo : np.searchsorted(e, top - e[lo], side="right")]
-        hi = min(n_rows, lo + max(1, PAIR_CHUNK_CELLS // cols.size))
+        hi = min(n_rows, lo + max(1, BLOCK_CELLS // cols.size))
         x = e[lo:hi, None]
         ok = (cols >= x) & lookup[x + cols]
         # np.nonzero on the 2-D matrix takes about 10x as long

@@ -13,13 +13,14 @@ from __future__ import annotations
 import json
 import math
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .intset import IntSet
-from .solver import DEFAULT_BUDGET, VERDICT, find_schur_colouring
+from .solver import DEFAULT_BUDGET, VERDICT, SchurStatus, find_schur_colouring
 
 _BLOCK = 4096
 
@@ -204,16 +205,14 @@ def run_trials(
 
 
 def _aggregate(p: float, records: list[TrialRecord]) -> SweepPoint:
-    schur = sum(1 for r in records if r.outcome == "Schur")
-    not_schur = sum(1 for r in records if r.outcome == "NotSchur")
-    unknown = sum(1 for r in records if r.outcome == "Unknown")
+    counts = Counter(r.outcome for r in records)
     mean_size = sum(r.sample_size for r in records) / len(records)
     return SweepPoint(
         p=p,
         trials=len(records),
-        schur=schur,
-        not_schur=not_schur,
-        unknown=unknown,
+        schur=counts[SchurStatus.SCHUR.value],
+        not_schur=counts[SchurStatus.NOT_SCHUR.value],
+        unknown=counts[SchurStatus.UNKNOWN.value],
         mean_sample_size=mean_size,
     )
 

@@ -846,7 +846,7 @@ class HminReport:
 
 
 def check_hmin_properties(h: HostingHypergraph, base: IntSet) -> HminReport:
-    uniform3 = all(len(e) == 3 for e in h.edges)
+    uniform3 = h.is_three_uniform()
     one_base = all(sum(1 for v in e if v in base) <= 1 for e in h.edges)
     linear = all(
         len(set(e).intersection(f)) <= 1 for i, e in enumerate(h.edges) for f in h.edges[i + 1 :]

@@ -8,9 +8,10 @@ pairwise leg coincidences (two legs can share at most one element because
 the x_i are pairwise distinct), with every term a shifted vector product.
 
 The kernels are batched: one row per (x1, x2), one column per element of
-[0, n], so every shift by x_i is a per-row gather on a row matrix. Rows go
-in batches of at most BATCH_CELLS cells, which bounds the working memory at
-a few dozen arrays of that many cells whatever n is.
+[0, n], so every shift by x_i is a per-row gather on a row matrix built by
+one pipeline (_rows, _open_rows, _leg_triples). Rows go in blocks of at most
+intset.BLOCK_CELLS cells (intset.row_blocks), which bounds the working
+memory at a few dozen arrays of that many cells whatever n is.
 
 count_wickets_containing keeps a table of the (x1, x2) rows of [n] for the
 last ROW_TABLE_NS values of n, with each row's leg-triple count once it is
@@ -28,13 +29,11 @@ from itertools import combinations, permutations, product
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .intset import IntSet, indicator
+from .intset import IntSet, indicator, row_blocks
 
 FACT9 = math.factorial(9)
 
-# Cells (rows x (n + 1)) of one batch of (x1, x2) rows, and the number of
-# (row, leg split) items count_wickets_containing evaluates at once.
-BATCH_CELLS = 1 << 18
+# The (row, leg split) items count_wickets_containing evaluates at once.
 ITEM_BATCH = 1 << 16
 # Row tables of count_wickets_containing kept at once, one per n; the
 # least recently used is dropped.
@@ -116,50 +115,52 @@ def _two_leg_disjoint(xa: np.ndarray, xb: np.ndarray, t: np.ndarray) -> np.ndarr
     return pa.sum(axis=1) * pb.sum(axis=1) - (_deg(pa, xa) * _deg(pb, xb)).sum(axis=1)
 
 
-def _open_rows(n: int, removed) -> np.ndarray:
-    """One row of [0, n] per entry of the removed arrays: True on [1, n]
-    except at that row's removed elements (each in [1, n])."""
-    rows = len(removed[0])
-    t = np.ones((rows, n + 1), dtype=bool)
-    t[:, 0] = False
-    r = np.arange(rows)
-    for col in removed:
-        t[r, col] = False
+def _rows(member: np.ndarray) -> np.ndarray:
+    """The rows (x1, x2, x3 = x1 + x2), x1 != x2, all three in the set of
+    the indicator member, ordered by x1 and then x2, as a (3, rows) array;
+    only the x2 <= max - x1 of each x1 are tried."""
+    e = np.flatnonzero(member)
+    counts = np.searchsorted(e, e[-1:] - e, side="right")  # x2 <= max - x1
+    x1 = np.repeat(e, counts)
+    x2 = e[np.arange(len(x1)) - np.repeat(np.cumsum(counts) - counts, counts)]
+    keep = (x1 != x2) & member[x1 + x2]
+    x1, x2 = x1[keep], x2[keep]
+    return np.stack((x1, x2, x1 + x2))
+
+
+def _open_rows(ground: np.ndarray, removed: np.ndarray) -> np.ndarray:
+    """One copy of the bool row ground per row of removed (rows, k), False
+    at that row's removed elements (each an index into ground)."""
+    t = np.repeat(ground[None, :], len(removed), axis=0)
+    t[np.arange(len(t))[:, None], removed] = False
     return t
 
 
-def _batches(rows: int, n: int):
-    step = max(1, BATCH_CELLS // (n + 1))
-    return (slice(lo, lo + step) for lo in range(0, rows, step))
+def _leg_triples(x: np.ndarray, ground: np.ndarray) -> np.ndarray:
+    """Per column (x1, x2, x3) of x, x3 < len(ground), the ordered pairwise
+    disjoint leg triples inside the bool row ground and outside its x's,
+    in row_blocks."""
+    out = np.empty(x.shape[1], dtype=np.int64)
+    for b in row_blocks(x.shape[1], len(ground)):
+        xb = x[:, b]
+        out[b] = _disjoint_triples(xb[0], xb[1], _open_rows(ground, xb.T))
+    return out
 
 
 def count_wickets(s: IntSet, chi: IntSet | None = None) -> int:
     """Ordered wicket count over s; legs restricted to chi when given.
 
-    One row per (x1, x2) with x1 + x2 in s, taken in batches: time
-    O(|s|^2 + r n) for r such rows, memory O(BATCH_CELLS); exact while the
+    The rows of s (_rows) and their leg triples inside chi (s if None) as
+    a row of [0, n] (_leg_triples): time O(|s|^2 + r n) for r rows, memory
+    O(|s|^2) for the rows plus O(BLOCK_CELLS) per block; exact while the
     per-row counts, at most n^3, fit in int64 (n <= 2 * 10^6).
     """
     if chi is not None and chi.mask & ~s.mask:
         raise ValueError("chi must be a subset of s")
-    n = s.n
-    base = np.zeros(n + 1, dtype=bool)
-    legs_ground = indicator(chi if chi is not None else s)[: n + 1]
-    base[: legs_ground.size] = legs_ground
-    e = np.array(s.elements(), dtype=np.int64)
-    member = np.zeros(2 * n + 2, dtype=bool)
-    member[e] = True
-    x1, x2 = (m.ravel() for m in np.meshgrid(e, e, indexing="ij"))
-    keep = (x1 != x2) & member[x1 + x2]
-    x1, x2 = x1[keep], x2[keep]
-    total = 0
-    for b in _batches(len(x1), n):
-        b1, b2 = x1[b], x2[b]
-        t = np.repeat(base[None, :], len(b1), axis=0)
-        r = np.arange(len(b1))
-        t[r, b1] = t[r, b2] = t[r, b1 + b2] = False
-        total += int(_disjoint_triples(b1, b2, t).sum())
-    return total
+    ground = np.zeros(s.n + 1, dtype=bool)
+    legs = indicator(chi if chi is not None else s)[: s.n + 1]  # rounded up to a byte
+    ground[: legs.size] = legs
+    return int(_leg_triples(_rows(indicator(s)), ground).sum())
 
 
 def iter_wickets(s: IntSet, chi: IntSet | None = None):
@@ -227,7 +228,7 @@ def count_wickets_containing(u, n: int) -> int:
     Time O(r (log r + |u|) + items * n) for the r < n^2 / 2 rows, where
     items is at most 48 r, and at most n per split when a split has a
     pair (every split does once |u| >= 4). Memory O(r |u| + ITEM_BATCH +
-    BATCH_CELLS) per call, besides the row tables of the last
+    BLOCK_CELLS) per call, besides the row tables of the last
     ROW_TABLE_NS values of n, O(n^2) each, which later calls reuse.
     Elements of u must be integers (`operator.index`), else TypeError.
     """
@@ -368,15 +369,13 @@ class _FreeLegs:
 
     def count(self) -> int:
         """The running total, after a pass over the items pending."""
-        n = len(self.open_row) - 1
         for k, pending in self.items.items():
             if not pending:
                 continue
             x = np.concatenate([p[0] for p in pending])
             holes = np.concatenate([p[1] for p in pending])
-            for b in _batches(len(x), n):
-                t = np.repeat(self.open_row[None, :], len(x[b]), axis=0)
-                t[np.arange(len(t))[:, None], holes[b]] = False
+            for b in row_blocks(len(x), len(self.open_row)):
+                t = _open_rows(self.open_row, holes[b])
                 if k == 1:
                     self.total += int(_legs(t, x[b, 0]).sum())
                 else:
@@ -464,14 +463,10 @@ class _RowTable:
 
     def __init__(self, n: int):
         self.n = n
-        counts = np.arange(n - 1, 0, -1)  # x2 in [1, n - x1] for x1 = 1..n-1
-        x1 = np.repeat(np.arange(1, n, dtype=np.int64), counts)
-        x2 = np.arange(len(x1)) - np.repeat(np.cumsum(counts) - counts, counts) + 1
-        keep = x1 != x2
-        x1, x2 = x1[keep], x2[keep]
-        self.x = np.stack((x1, x2, x1 + x2))
-        self.start = np.searchsorted(x1, np.arange(n + 1))  # first row of each x1
-        self._triples = np.full(len(x1), -1, dtype=np.int64)
+        self.ground = np.arange(n + 1) > 0  # [1, n]
+        self.x = _rows(self.ground)
+        self.start = np.searchsorted(self.x[0], np.arange(n + 1))  # first row of each x1
+        self._triples = np.full(self.x.shape[1], -1, dtype=np.int64)
 
     def row_of(self, diff: np.ndarray, where: np.ndarray) -> np.ndarray:
         """Per column of diff (the legs' differences, 0 where unknown), the
@@ -488,9 +483,7 @@ class _RowTable:
         """Per row of rows, its count of ordered pairwise disjoint leg
         triples avoiding its x's, computed once per table."""
         todo = rows[self._triples[rows] < 0]
-        for b in _batches(len(todo), self.n):
-            x1, x2, x3 = self.x[:, todo[b]]
-            self._triples[todo[b]] = _disjoint_triples(x1, x2, _open_rows(self.n, [x1, x2, x3]))
+        self._triples[todo] = _leg_triples(self.x[:, todo], self.ground)
         return self._triples[rows]
 
 

@@ -75,6 +75,11 @@ GOLDEN = [
     (("obstruction", "construct:sparse:200,14", "1,7,11,15,18,23-24,29,40,49,59,62-63,70-71,"
       "79-80,83-84,96,98,111,113,117,120,125-126,133,138,141,146,156,163-165,173,190-191,193,198",
       "--n", "200"), 0, "924bf29eff0ad7d6"),
+    # the batched counting kernels: wicket rows of a set that is not an
+    # interval, with legs on a subset; and the H_A statistics
+    (("wickets", "1-17,19,22-30,33,35-41", "--chi", "1-11,13,15-17,22-29,33,35-41"), 0, "b9c50fde7d7a1de6"),
+    (("wickets", "3-41"), 0, "bfac362854652c11"),
+    (("ha-stats", "5,9,14,22,31,40-44", "--n", "70", "--tau", "0.5"), 0, "6306c6f1ea36f3f5"),
 ]
 
 

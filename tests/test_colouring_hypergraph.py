@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -7,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schurperturb import colouring_hypergraph
+from schurperturb import colouring_hypergraph, intset
 from schurperturb.colouring_hypergraph import (
     ContainerLike,
     build_HA,
@@ -184,6 +187,21 @@ class TestStats:
     def test_empty(self):
         assert ha_stats_fast(IntSet(10), 10).edge_count == 0
 
+    def test_imports_no_numpy_ma(self):
+        # np.unique with no optional output imports numpy.ma on first use,
+        # 10-20 ms once per process; a fresh process shows whether it ran
+        code = (
+            "import sys\n"
+            "from schurperturb import IntSet\n"
+            "from schurperturb.colouring_hypergraph import ha_stats_fast\n"
+            "ha_stats_fast(IntSet(70, [5, 9, 14, 22, 31, 40, 41, 42, 43, 44]), 70)\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(colouring_hypergraph.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout == "False\n"
+
     def test_fast_matches_outer_product_reference(self):
         rng = random.Random(45)
         a = IntSet(2000, rng.sample(range(1, 2001), 45))
@@ -197,7 +215,7 @@ class TestStats:
         # Gram row blocks of at least two rows, 62 cells over at most 31
         # runs: the shared pairs {u, v} of 7 > 5 > 3 > 1 put corrections in
         # many blocks, on and off the diagonal
-        monkeypatch.setattr(colouring_hypergraph, "HA_BLOCK_CELLS", 2 * 31)
+        monkeypatch.setattr(intset, "BLOCK_CELLS", 2 * 31)
         blocks = []
         gram = colouring_hypergraph._gram_row_blocks
 
@@ -215,12 +233,12 @@ class TestStats:
             n = rng.randint(5, 60)
             a = IntSet(n, rng.sample(range(1, n + 1), rng.randint(1, n // 2)))
             assert ha_stats_fast(a, n) == ref_ha_stats_fast(a, n)
-        monkeypatch.setattr(colouring_hypergraph, "HA_BLOCK_CELLS", 1)
+        monkeypatch.setattr(intset, "BLOCK_CELLS", 1)
         a = IntSet(40, [2, 4, 6, 10, 20, 30, 40])
         assert ha_stats_fast(a, 40) == ref_ha_stats_fast(a, 40)
         # the blocks, stacked, are the whole Gram matrix of the runs
         for cells in (1, 62, 1 << 18):
-            monkeypatch.setattr(colouring_hypergraph, "HA_BLOCK_CELLS", cells)
+            monkeypatch.setattr(intset, "BLOCK_CELLS", cells)
             for _ in range(10):
                 n = rng.randint(5, 80)
                 a = np.array(rng.sample(range(1, n + 1), rng.randint(1, n // 2)))

@@ -399,7 +399,11 @@ class TestTriplesAgainstReference:
         assert hosting_sets(IntSet(2, [1, 2])) == [(1, 2)]
 
     def test_pair_chunks(self, monkeypatch):
-        monkeypatch.setattr(intset, "PAIR_CHUNK_CELLS", 5)
+        monkeypatch.setattr(intset, "BLOCK_CELLS", 5)
+        # a row wider than a block is a block of its own; no rows, no block
+        assert list(intset.row_blocks(5, 2)) == [slice(0, 2), slice(2, 4), slice(4, 5)]
+        assert list(intset.row_blocks(3, 7)) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+        assert list(intset.row_blocks(0, 2)) == []
         rng = random.Random(6)
         for _ in range(40):
             n = rng.randint(1, 120)

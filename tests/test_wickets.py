@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import wicket_entry_masks
-from schurperturb import wickets
+from schurperturb import intset, wickets
 from schurperturb.intset import IntSet
 from schurperturb.wickets import (
     claim_extension_bound,
@@ -150,18 +150,26 @@ class TestCountContaining:
             assert count_wickets_containing(u, 13) == enumerated_containing(u, 13) >= 1
 
     def test_small_batches(self, monkeypatch):
-        # batches of one or a few rows and items give the same counts, the
+        # blocks of one or a few rows and items give the same counts, the
         # row table's leg-triple counts included (the table starts empty)
         rng = random.Random(25)
         cases = [rng.sample(range(1, 18), size) for size in range(1, 10)]
         want = [enumerated_containing(u, 17) for u in cases]
         full = count_wickets(IntSet.full(17))
-        monkeypatch.setattr(wickets, "BATCH_CELLS", 40)
+        monkeypatch.setattr(intset, "BLOCK_CELLS", 40)
         monkeypatch.setattr(wickets, "ITEM_BATCH", 5)
         wickets._row_table.cache_clear()
         assert [count_wickets_containing(u, 17) for u in cases] == want
         assert count_wickets(IntSet.full(17)) == full
         wickets._row_table.cache_clear()
+        # sets that are not intervals, with max s = n (whose indicator is
+        # longer than n + 1 unless n + 1 is a multiple of 8) or max s < n,
+        # and legs on all of s or on a chi with a smaller maximum
+        for n, top in ((17, 17), (19, 19), (20, 13), (23, 16), (15, 15), (22, 21)):
+            s = IntSet(n, [e for e in range(1, top) if rng.random() < 0.75] + [top])
+            chi = IntSet(n, [e for e in s if e < top and rng.random() < 0.8])
+            assert count_wickets(s) == oracle_count(s)
+            assert count_wickets(s, chi) == oracle_count(s, chi)
 
     def test_row_tables_interleaved(self):
         # more values of n than the cache holds, in turn and repeated: the
