@@ -11,10 +11,11 @@ branching decision, at most V of them for V elements, so its depth is not
 limited by the interpreter's recursion limit. Memory is O(V + |E|) plus
 those frames, and `find_schur_colouring` builds no hypergraph with more
 than HOSTING_SET_CAP edges. Each edge keeps how many of its elements are
-red and how many blue, and each element how many of its edges are not yet
-bichromatic; colouring or uncolouring an element touches only its own
-edges. A node costs O(V) to choose the branch element, plus the degrees of
-the elements it colours (propagation included) and later uncolours.
+red and how many blue, packed in one int that one table lookup per colour
+reads, and each element how many of its edges are not yet bichromatic;
+colouring or uncolouring an element touches only its own edges. A node
+costs O(V) to choose the branch element, plus the degrees of the elements
+it colours (propagation included) and later uncolours.
 
 `nodes_explored` counts colour trials, one per colour tried at a branch
 element; `budget` is checked before each trial, so a budget of k allows
@@ -48,7 +49,14 @@ as the plain deletion loop does and returns the same obstruction, but
 drops an edge outside the latest core without a search and keeps, without
 a search, every edge that model rotation of a colourable witness proves
 necessary. Its budget applies to each search that runs; a skipped deletion
-never searches, so it never uses budget.
+never searches, so it never uses budget. All its searches run on one
+search state (_SearchState), built once: a deletion unlinks the edge from
+its elements' incidence lists and a necessary edge is linked back in
+place, so each search is the one a fresh search on the kept edges would
+make, and the root (the forced colours and all they force) is propagated
+again only when the deleted or restored edge could have changed it. A
+deletion thus costs the degrees of the edge's elements plus its search, not
+a rebuild of the instance.
 
 `find_loose_cycle` looks for the loose cycles that the paper's minimal
 obstructions carry with a complete depth-first search, also on an explicit
@@ -59,6 +67,7 @@ exponential in the number of edges.
 
 from __future__ import annotations
 
+from bisect import insort
 from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
@@ -194,20 +203,54 @@ def _hosting_instance(s: IntSet) -> tuple[list[int], list[tuple[int, ...]]]:
     return elems.tolist(), _edge_tuples(*ranks, is_pair)
 
 
-def _search(
-    allowed: list[tuple[int, ...]],
-    edges: list[tuple[int, ...]],
-    budget: int,
-) -> tuple[Status, list[int], int, list[int]]:
-    """Explicit-stack search over vertex indices 0..V-1, V = len(allowed).
+# Each edge's colour counts packed in one int, blue + 4 * red, counted from
+# 0 for a 3-edge and from _PAIR for a 2-edge, so that one table per colour
+# gives what colouring one more vertex does to an edge of either size:
+# _TRANSITIONS[c][s], s the packed counts after the vertex is coloured c.
+_PAIR = 16
+_DELTA = (1, 4)  # by colour code: 0 blue, 1 red
+_RESOLVED, _FORCE, _MONO = 1, 2, 3
 
-    Returns (status, colour code per vertex, nodes, core); the colours are
-    partial (-1 for uncoloured) unless the status is COLOURABLE, when a
-    vertex left uncoloured, all its edges resolved, takes its first allowed
-    colour. Each edge keeps how many of its vertices are coloured 0 and 1.
-    key[v] is the number of v's incident edges not yet bichromatic, lowered
-    by `coloured` while v is coloured, so the branch vertex (most unresolved
-    edges, smallest index on ties) is the first maximum of key.
+# (status, colour code per vertex, nodes, core) of one search
+_Result = tuple[Status, list[int], int, list[int]]
+
+
+def _packed(size: int, blue: int, red: int) -> int:
+    return (_PAIR if size == 2 else 0) + blue * _DELTA[0] + red * _DELTA[1]
+
+
+def _transitions(c: int) -> tuple[int, ...]:
+    table = [0] * (_packed(2, 0, 2) + 1)
+    for size in (3, 2):
+        for blue in range(size + 1):
+            for red in range(size + 1 - blue):
+                same, other = (blue, red) if c == 0 else (red, blue)
+                if other:
+                    act = _RESOLVED if same == 1 else 0  # just became bichromatic
+                else:
+                    act = {size: _MONO, size - 1: _FORCE}.get(same, 0)
+                table[_packed(size, blue, red)] = act
+    return tuple(table)
+
+
+_TRANSITIONS = (_transitions(0), _transitions(1))
+
+
+class _SearchState:
+    """Explicit-stack search over vertex indices 0..V-1, V = len(allowed),
+    on edges of 2 or 3 vertex indices, kept between searches of the same
+    instance with edges deleted and restored.
+
+    run(budget) returns (status, colour code per vertex, nodes, core); the
+    colours are partial (-1 for uncoloured) unless the status is
+    COLOURABLE, when a vertex left uncoloured, all its edges resolved,
+    takes its first allowed colour. incident[v] lists v's linked edges
+    ascending, and each linked edge keeps its colour counts packed in
+    state[i] (see _TRANSITIONS): colouring or uncolouring a vertex reads,
+    writes and looks up one int per incident edge. key[v] is the number of
+    v's linked edges not yet bichromatic, lowered by `coloured` while v is
+    coloured, so the branch vertex (most unresolved edges, smallest index
+    on ties) is the first maximum of key.
 
     reason[v] is the edge that forced v's colour, -1 for a decision or a
     constraint seed. Every conflict marks its conflict cone: the conflict
@@ -216,29 +259,54 @@ def _search(
     when the status is NOT_COLOURABLE, else empty. The search tree refutes
     each decision path by propagation over its cone alone, so the core with
     the allowed colours is itself uncolourable.
-    """
-    n_vertices = len(allowed)
-    if not all(allowed):
-        return Status.NOT_COLOURABLE, [], 0, []
-    incident: list[list[int]] = [[] for _ in range(n_vertices)]
-    for i, edge in enumerate(edges):
-        for v in edge:
-            incident[v].append(i)
-    size = [len(edge) for edge in edges]
-    count = ([0] * len(edges), [0] * len(edges))
-    colour = [-1] * n_vertices
-    coloured = len(edges) + 1  # above any vertex degree
-    key = [len(inc) for inc in incident]
-    trail: list[int] = []
-    reason = [-1] * n_vertices
-    marked = [False] * len(edges)
-    seen = [0] * n_vertices  # conflict stamp of the last cone walk through v
-    stamp = 0
 
-    def explain(i: int) -> None:
+    drop(e) unlinks edge e from its vertices' lists and relink(e) puts it
+    back at its ascending place, so the lists always hold the linked edges
+    in the order a fresh state on the list of linked edges would, and a run
+    visits the same nodes and returns the same core (as indices into the
+    full edge list). The root, the constraint seeds and all they force, is
+    propagated by the first run and kept: a run leaves its last state on
+    the trail, the next run, drop or relink first undoes it back to the
+    root, and the root is propagated again only after a drop of the edge
+    that forced a root vertex or a relink of an edge with |e| - 1 of its
+    vertices of one colour at the root (which could have forced or
+    conflicted there), or after a root conflict. Any other drop or relink
+    leaves the root's colours and reasons as a fresh propagation would, and
+    costs the degrees of the edge's vertices.
+    """
+
+    def __init__(self, allowed: list[tuple[int, ...]], edges: list[tuple[int, ...]]):
+        if not set(map(len, edges)) <= {2, 3}:
+            raise ValueError("edges must have 2 or 3 vertices")
+        n_vertices = len(allowed)
+        self.allowed = allowed
+        self.edges = edges
+        self.satisfiable = all(allowed)
+        incident: list[list[int]] = [[] for _ in range(n_vertices)]
+        for i, edge in enumerate(edges):
+            for v in edge:
+                incident[v].append(i)
+        self.incident = incident
+        uncoloured = {2: _packed(2, 0, 0), 3: _packed(3, 0, 0)}
+        self.state = [uncoloured[len(edge)] for edge in edges]
+        self.colour = [-1] * n_vertices
+        self.coloured = len(edges) + 1  # above any vertex degree
+        self.key = [len(inc) for inc in incident]
+        self.trail: list[int] = []
+        self.reason = [-1] * n_vertices
+        self.marked: list[bool] = []  # per edge, reset by each run
+        self.seen = [0] * n_vertices  # conflict stamp of the last cone walk through v
+        self.stamp = 0
+        self.seeds = [(v, a[0], -1) for v, a in enumerate(allowed) if len(a) == 1]
+        self.root = -1  # trail length of the propagated root; -1 when not propagated
+
+    def _explain(self, i: int) -> None:
         """Mark conflict edge i and the reason cone of its coloured vertices."""
-        nonlocal stamp
-        stamp += 1
+        colour, reason, seen, edges, marked = (
+            self.colour, self.reason, self.seen, self.edges, self.marked
+        )
+        self.stamp += 1
+        stamp = self.stamp
         marked[i] = True
         todo = [u for u in edges[i] if colour[u] >= 0]
         while todo:
@@ -251,11 +319,14 @@ def _search(
                 marked[r] = True
                 todo.extend(edges[r])
 
-    def propagate(pending: list[tuple[int, int, int]]) -> bool:
+    def _propagate(self, pending: list[tuple[int, int, int]]) -> bool:
         """Colour each pending (vertex, code, reason) and all it forces;
         False, with the conflict explained, on a monochromatic edge or a
         forced colour the vertex does not allow. Every vertex on the trail
         has all its edge counts applied."""
+        colour, reason, trail, key = self.colour, self.reason, self.trail, self.key
+        incident, state, edges, allowed = self.incident, self.state, self.edges, self.allowed
+        coloured, resolved, mono = self.coloured, _RESOLVED, _MONO
         conflict = -1
         while pending:
             v, c, r = pending.pop()
@@ -273,17 +344,19 @@ def _search(
             reason[v] = r
             trail.append(v)
             key[v] -= coloured
-            same, other = count[c], count[c ^ 1]
+            delta, table = _DELTA[c], _TRANSITIONS[c]
             for i in incident[v]:
-                k = same[i] = same[i] + 1
-                if other[i]:
-                    if k == 1:  # just became bichromatic: resolved
-                        for u in edges[i]:
-                            key[u] -= 1
-                elif k == size[i]:
-                    if conflict < 0:
-                        conflict = i  # monochromatic
-                elif k == size[i] - 1 and conflict < 0:
+                s = state[i] = state[i] + delta
+                act = table[s]
+                if not act:
+                    continue
+                if act == resolved:
+                    for u in edges[i]:
+                        key[u] -= 1
+                elif conflict < 0:
+                    if act == mono:
+                        conflict = i
+                        continue
                     for u in edges[i]:
                         if colour[u] < 0:
                             break  # the one uncoloured vertex
@@ -292,69 +365,129 @@ def _search(
                     else:
                         conflict = i
             if conflict >= 0:
-                explain(conflict)
+                self._explain(conflict)
                 return False
         return True
 
-    def undo(mark: int) -> None:
-        while len(trail) > mark:
-            v = trail.pop()
+    def _undo(self, mark: int) -> None:
+        colour, trail, key = self.colour, self.trail, self.key
+        incident, state, edges = self.incident, self.state, self.edges
+        coloured, resolved = self.coloured, _RESOLVED
+        for v in reversed(trail[mark:]):
             c = colour[v]
             colour[v] = -1
             key[v] += coloured
-            same, other = count[c], count[c ^ 1]
+            delta, table = _DELTA[c], _TRANSITIONS[c]
             for i in incident[v]:
-                k = same[i] = same[i] - 1
-                if k == 0 and other[i]:  # no longer bichromatic
+                s = state[i]
+                state[i] = s - delta
+                if table[s] == resolved:  # no longer bichromatic
                     for u in edges[i]:
                         key[u] += 1
+        del trail[mark:]
 
-    def pick_branch_var() -> int:
-        """-1 when every unresolved edge is gone; leftovers are then free."""
-        best = max(key, default=0)
-        return key.index(best) if best > 0 else -1
+    def run(self, budget: int) -> _Result:
+        if not self.satisfiable:
+            return Status.NOT_COLOURABLE, [], 0, []
+        self.marked = [False] * len(self.edges)
+        self._to_root()
+        if self.root < 0:
+            if not self._propagate(self.seeds[::-1]):
+                return self._refuted(0)
+            self.root = len(self.trail)
+        return self._branch(budget)
 
-    def refuted(nodes: int) -> tuple[Status, list[int], int, list[int]]:
-        core = [i for i, m in enumerate(marked) if m]
-        return Status.NOT_COLOURABLE, colour, nodes, core
+    def _branch(self, budget: int) -> _Result:
+        allowed, key, trail = self.allowed, self.key, self.trail
+        propagate, undo = self._propagate, self._undo
 
-    def coloured_all(nodes: int) -> tuple[Status, list[int], int, list[int]]:
-        total = [c if c >= 0 else allowed[v][0] for v, c in enumerate(colour)]
+        def pick_branch_var() -> int:
+            """-1 when every unresolved edge is gone; leftovers are then free."""
+            best = max(key, default=0)
+            return key.index(best) if best > 0 else -1
+
+        nodes = 0
+        v = pick_branch_var()
+        if v < 0:
+            return self._coloured_all(nodes)
+        # With no one-colour vertex, swapping the colours maps the search below
+        # one root colour onto the search below the other, so the root tries
+        # only its first colour.
+        # frames: vertex, next colour position, colour positions to try, trail mark
+        stack = [[v, 0, 1 if not self.seeds else len(allowed[v]), len(trail)]]
+        while stack:
+            frame = stack[-1]
+            v, pos, end, mark = frame
+            if pos == end:
+                stack.pop()
+                if stack:
+                    undo(stack[-1][3])  # the parent's colour failed too
+                continue
+            if nodes >= budget:
+                return Status.BUDGET_EXCEEDED, self.colour.copy(), nodes, []
+            nodes += 1
+            frame[1] = pos + 1
+            if propagate([(v, allowed[v][pos], -1)]):
+                v = pick_branch_var()
+                if v < 0:
+                    return self._coloured_all(nodes)
+                stack.append([v, 0, len(allowed[v]), len(trail)])
+            else:
+                undo(mark)
+        return self._refuted(nodes)
+
+    def _refuted(self, nodes: int) -> _Result:
+        core = list(compress(range(len(self.marked)), self.marked))
+        return Status.NOT_COLOURABLE, self.colour.copy(), nodes, core
+
+    def _coloured_all(self, nodes: int) -> _Result:
+        allowed = self.allowed
+        total = [c if c >= 0 else allowed[v][0] for v, c in enumerate(self.colour)]
         return Status.COLOURABLE, total, nodes, []
 
-    seeds = [(v, a[0], -1) for v, a in enumerate(allowed) if len(a) == 1]
-    if not propagate(seeds[::-1]):
-        return refuted(0)
+    def _to_root(self) -> None:
+        """Undo the last run's colours back to the root, or all of them
+        when the root is not propagated."""
+        if len(self.trail) > self.root:
+            self._undo(max(self.root, 0))
 
-    nodes = 0
-    v = pick_branch_var()
-    if v < 0:
-        return coloured_all(nodes)
-    # With no one-colour vertex, swapping the colours maps the search below
-    # one root colour onto the search below the other, so the root tries
-    # only its first colour.
-    # frames: vertex, next colour position, colour positions to try, trail mark
-    stack = [[v, 0, 1 if not seeds else len(allowed[v]), len(trail)]]
-    while stack:
-        frame = stack[-1]
-        v, pos, end, mark = frame
-        if pos == end:
-            stack.pop()
-            if stack:
-                undo(stack[-1][3])  # the parent's colour failed too
-            continue
-        if nodes >= budget:
-            return Status.BUDGET_EXCEEDED, colour, nodes, []
-        nodes += 1
-        frame[1] = pos + 1
-        if propagate([(v, allowed[v][pos], -1)]):
-            v = pick_branch_var()
-            if v < 0:
-                return coloured_all(nodes)
-            stack.append([v, 0, len(allowed[v]), len(trail)])
-        else:
-            undo(mark)
-    return refuted(nodes)
+    def drop(self, e: int) -> None:
+        """Unlink edge e; the next run searches without it."""
+        self._to_root()
+        edge, colour = self.edges[e], self.colour
+        for v in edge:
+            self.incident[v].remove(e)
+            if colour[v] >= 0 and self.reason[v] == e:
+                self.root = -1
+        colours = [colour[v] for v in edge]
+        if not (0 in colours and 1 in colours):  # counted in its vertices' keys
+            for v in edge:
+                self.key[v] -= 1
+
+    def relink(self, e: int) -> None:
+        """Link the dropped edge e again, at its ascending place."""
+        self._to_root()
+        edge = self.edges[e]
+        for v in edge:
+            insort(self.incident[v], e)
+        colours = [self.colour[v] for v in edge]
+        blue, red = colours.count(0), colours.count(1)
+        self.state[e] = _packed(len(edge), blue, red)
+        if not (blue and red):
+            for v in edge:
+                self.key[v] += 1
+        if max(blue, red) >= len(edge) - 1:
+            self.root = -1
+
+
+def _search(
+    allowed: list[tuple[int, ...]],
+    edges: list[tuple[int, ...]],
+    budget: int,
+) -> _Result:
+    """One search on a fresh _SearchState: (status, colour code per vertex,
+    nodes, core), see there."""
+    return _SearchState(allowed, edges).run(budget)
 
 
 def _solve_edges(
@@ -759,6 +892,9 @@ def minimal_obstruction(
       witness that leaves exactly one other kept edge monochromatic proves
       that edge necessary too, recursively. A necessary edge is kept with
       no search, as every later kept set is smaller.
+    Every search runs on one _SearchState: a deletion unlinks the edge, a
+    necessary edge is linked back, and the root is kept between searches
+    unless the edge could have changed it.
     `budget` applies to each search that runs, and `nodes_explored` sums
     their nodes; a skipped deletion never searches, so it uses no budget.
     A set with more than HOSTING_SET_CAP hosting sets (_over_hosting_cap)
@@ -772,34 +908,31 @@ def minimal_obstruction(
         return ObstructionResult(Status.BUDGET_EXCEEDED, None, 0)
     elems, mapped = _hosting_instance(s)
     allowed = _allowed(s, constraints)
-    status, _, total_nodes, core = _search(allowed, mapped, budget)
+    search = _SearchState(allowed, mapped)
+    status, _, total_nodes, core = search.run(budget)
     if status is not Status.NOT_COLOURABLE:
         return ObstructionResult(status, None, total_nodes)
 
     kept = [True] * len(mapped)
     necessary = [False] * len(mapped)
     in_core = set(core)
-    incident: list[list[int]] = [[] for _ in elems]
-    for i, edge in enumerate(mapped):
-        for v in edge:
-            incident[v].append(i)
     for e in reversed(range(len(mapped))):  # mapped is in ascending order
         if e not in in_core:
+            search.drop(e)
             kept[e] = False
         elif not necessary[e]:
-            ids = [i for i, k in enumerate(kept) if k and i != e]
-            status, colour, nodes, core = _search(
-                allowed, [mapped[i] for i in ids], budget
-            )
+            search.drop(e)
+            status, colour, nodes, core = search.run(budget)
             total_nodes += nodes
             if status is Status.BUDGET_EXCEEDED:
                 return ObstructionResult(status, None, total_nodes)
             if status is Status.NOT_COLOURABLE:
                 kept[e] = False
-                in_core = {ids[j] for j in core}
+                in_core = set(core)
             else:
+                search.relink(e)
                 necessary[e] = True
-                _rotate(e, colour, allowed, mapped, incident, kept, necessary)
+                _rotate(e, colour, allowed, mapped, search.incident, necessary)
     obstruction = [
         tuple(elems[v] for v in edge) for edge, k in zip(mapped, kept) if k
     ]
@@ -811,25 +944,25 @@ def _rotate(
     e: int,
     colour: list[int],
     allowed: list[tuple[int, ...]],
-    mapped: list[tuple[int, ...]],
+    edges: list[tuple[int, ...]],
     incident: list[list[int]],
-    kept: list[bool],
     necessary: list[bool],
 ) -> None:
     """Recursive model rotation from necessary edge e, whose search witness
-    colour colours every kept edge but e properly. Marks in `necessary`
-    every edge the rotations prove necessary."""
+    colour colours every kept edge but e properly; incident[v] lists the
+    kept edges through v. Marks in `necessary` every edge the rotations
+    prove necessary."""
     todo = [(e, colour)]  # (the one monochromatic kept edge, its colouring)
     while todo:
         e, colour = todo.pop()
-        for v in mapped[e]:
+        for v in edges[e]:
             c = colour[v] ^ 1
             if c not in allowed[v]:
                 continue
             broken = [
                 f
                 for f in incident[v]
-                if f != e and kept[f] and all(colour[u] == c for u in mapped[f] if u != v)
+                if f != e and all(colour[u] == c for u in edges[f] if u != v)
             ]
             if len(broken) == 1 and not necessary[broken[0]]:
                 necessary[broken[0]] = True

@@ -216,7 +216,7 @@ def test_criterion_11_sparse_obstruction_structure():
     base = sparse_base(n, s)
     constraints = ColourConstraint.force_blue(base)
     rng = RngSpec(MASTER_SEED)
-    not_col = good = 0
+    not_col = good = two_edge = two_base = not_linear = 0
     for i in range(100):
         pset = sample_perturbation(n, p, rng, i)
         res = minimal_obstruction(base.union(pset), constraints)
@@ -226,10 +226,15 @@ def test_criterion_11_sparse_obstruction_structure():
         rep = check_hmin_properties(res.hypergraph, base)
         if rep.uniform3 and rep.one_base_per_edge and rep.linear:
             good += 1
+        two_edge += not rep.uniform3
+        two_base += not rep.one_base_per_edge
+        not_linear += not rep.linear
     frac = good / not_col if not_col else 0.0
     ok = not_col > 0 and frac >= 0.8
     _report(11, ok, f"minimal obstructions 3-uniform/1-base/linear in "
-                    f"{good}/{not_col} uncolourable trials (need >= 80%)", t0)
+                    f"{good}/{not_col} uncolourable trials (need >= 80%); "
+                    f"{two_edge} with a 2-edge, {two_base} with an edge of two "
+                    f"base elements, {not_linear} not linear", t0)
 
 
 def test_criterion_12_sum_free_stability():

@@ -40,6 +40,7 @@ from schurperturb.solver import (
     is_schur,
     _rotate,
     _search,
+    _SearchState,
     _solve_edges,
     minimal_obstruction,
     schur_certificate,
@@ -462,6 +463,25 @@ DIFF_CORPUS = [("sparse", x, t) for x in (2.0, 3.0, 4.0) for t in range(6)] + [
 ]
 
 
+# (n, elements of [n], forced colours): a small set with up to 4 elements
+# forced to one colour
+SMALL_FORCED_SETS = st.integers(3, 16).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.sets(st.integers(1, n), min_size=1),
+        st.dictionaries(st.integers(1, n), st.sampled_from([RED, BLUE]), max_size=4),
+    )
+)
+
+
+def _small_forced_instance(n, elems, forced):
+    constraints = ColourConstraint(
+        no_red=sum(1 << e for e, c in forced.items() if c == BLUE),
+        no_blue=sum(1 << e for e, c in forced.items() if c == RED),
+    )
+    return IntSet(n, elems), constraints
+
+
 class TestObstructionAgainstReference:
     """Core-guided deletion with model rotation returns the plain loop's
     status and edge list, and never searches more."""
@@ -475,22 +495,9 @@ class TestObstructionAgainstReference:
         assert nodes <= ref_nodes
 
     @settings(max_examples=150, deadline=None)
-    @given(
-        st.integers(3, 16).flatmap(
-            lambda n: st.tuples(
-                st.just(n),
-                st.sets(st.integers(1, n), min_size=1),
-                st.dictionaries(st.integers(1, n), st.sampled_from([RED, BLUE]), max_size=4),
-            )
-        )
-    )
+    @given(SMALL_FORCED_SETS)
     def test_small_sets_with_forced_colours(self, args):
-        n, elems, forced = args
-        s = IntSet(n, elems)
-        constraints = ColourConstraint(
-            no_red=sum(1 << e for e, c in forced.items() if c == BLUE),
-            no_blue=sum(1 << e for e, c in forced.items() if c == RED),
-        )
+        s, constraints = _small_forced_instance(*args)
         status, edges, nodes = _obstruction(s, constraints)
         ref_status, ref_edges, ref_nodes = reference_obstruction(s, constraints)
         assert (status, edges) == (ref_status, ref_edges)
@@ -510,6 +517,105 @@ class TestObstructionAgainstReference:
                 assert status is Status.BUDGET_EXCEEDED or (status, edges) == unbudgeted
             else:
                 assert (status, edges) == (ref_status, ref_edges) == unbudgeted
+
+
+class _CheckedState(_SearchState):
+    """A search state that checks each run against a fresh one on the
+    explicit list of its linked edges, kept here apart from the state's own
+    incidence lists."""
+
+    runs = 0
+
+    def __init__(self, allowed, edges):
+        super().__init__(allowed, edges)
+        self.linked = set(range(len(edges)))
+
+    def drop(self, e):
+        super().drop(e)
+        self.linked.remove(e)
+
+    def relink(self, e):
+        super().relink(e)
+        self.linked.add(e)
+
+    def run(self, budget):
+        status, colour, nodes, core = super().run(budget)
+        ids = sorted(self.linked)
+        fresh = _SearchState(self.allowed, [self.edges[i] for i in ids]).run(budget)
+        assert (status, nodes, core) == (fresh[0], fresh[2], [ids[j] for j in fresh[3]])
+        if status is Status.COLOURABLE:
+            assert colour == fresh[1]
+        assert self.incident == [
+            [i for i in ids if v in self.edges[i]] for v in range(len(self.allowed))
+        ]
+        _CheckedState.runs += 1
+        return status, colour, nodes, core
+
+
+def _checked_obstruction(s: IntSet, constraints) -> int:
+    """minimal_obstruction on checked search states; the number of runs."""
+    _CheckedState.runs = 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver_module, "_SearchState", _CheckedState)
+        minimal_obstruction(s, constraints)
+    return _CheckedState.runs
+
+
+def _replay(allowed, edges, steps) -> None:
+    """Run, drop and relink edges on one checked state: each step is "run"
+    or ("drop" | "relink", edge)."""
+    state = _CheckedState(allowed, edges)
+    for step in steps:
+        if step == "run":
+            state.run(100)
+        else:
+            getattr(state, step[0])(step[1])
+
+
+class TestReusedSearchState:
+    """Every search that minimal_obstruction runs on its one search state,
+    with edges dropped and relinked and the root kept between runs, returns
+    what a fresh search on the explicit list of kept edges returns: the
+    same status, node count and core, and the same witness."""
+
+    @pytest.mark.parametrize("case", DIFF_CORPUS)
+    def test_corpus(self, case):
+        s, constraints = _pinned_instance(*case)
+        assert _checked_obstruction(s, constraints) >= 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(SMALL_FORCED_SETS)
+    def test_small_sets_with_forced_colours(self, args):
+        _checked_obstruction(*_small_forced_instance(*args))
+
+    def test_drop_of_a_root_reason(self):
+        # seed 0 blue forces 1 red by edge 0, which forces 2 blue by edge 1;
+        # without edge 0 the root colours 0 alone and the search branches
+        _replay([(0,), (0, 1), (0, 1)], [(0, 1), (1, 2)], ["run", ("drop", 0), "run"])
+
+    def test_relink_that_forces_at_the_root(self):
+        # edge 1 = (0, 1, 3) is not the reason of 1 (edge 0 forces it
+        # first), so dropping it keeps the root; once edge 0 is dropped too,
+        # the root leaves 1 uncoloured, and relinking edge 1, whose other
+        # two vertices are blue seeds, forces 1 red at the root again
+        _replay(
+            [(0,), (0, 1), (0, 1), (0,)],
+            [(0, 1), (0, 1, 3), (1, 2)],
+            ["run", ("drop", 1), "run", ("drop", 0), "run", ("relink", 1), "run",
+             ("relink", 0), "run"],
+        )
+
+    def test_edges_of_two_or_three_vertices(self):
+        with pytest.raises(ValueError, match="2 or 3 vertices"):
+            _search([(0, 1)] * 4, [(0, 1), (0, 1, 2, 3)], 10)
+
+    def test_root_conflict_then_drop(self):
+        # seeds 0 and 1 blue make edge 0 monochromatic at the root
+        _replay(
+            [(0,), (0,), (0, 1)],
+            [(0, 1), (0, 2), (1, 2)],
+            ["run", ("drop", 0), "run", ("relink", 0), "run"],
+        )
 
 
 def _colourable(allowed, edges) -> bool:
@@ -586,7 +692,10 @@ class TestCoreAndRotation:
             kept_edges = [edge for edge, k in zip(edges, kept) if k]
             if not all(allowed) or _colourable(allowed, kept_edges):
                 continue
-            incident = [[i for i, edge in enumerate(edges) if v in edge] for v in range(len(allowed))]
+            incident = [
+                [i for i, edge in enumerate(edges) if kept[i] and v in edge]
+                for v in range(len(allowed))
+            ]
             for e in (i for i, k in enumerate(kept) if k):
                 rest = [edge for i, edge in enumerate(edges) if kept[i] and i != e]
                 status, colour, _, _ = _search(allowed, rest, 10**6)
@@ -594,7 +703,7 @@ class TestCoreAndRotation:
                     continue
                 necessary = [False] * len(edges)
                 necessary[e] = True
-                _rotate(e, colour, allowed, edges, incident, kept, necessary)
+                _rotate(e, colour, allowed, edges, incident, necessary)
                 for f, is_necessary in enumerate(necessary):
                     if is_necessary and f != e:
                         marked_total += 1
