@@ -488,8 +488,12 @@ _SUITES = {
 
 def cmd_verify(args) -> int:
     suite = _SUITES[args.suite]
-    options = {k: getattr(args, k) for k in inspect.signature(suite).parameters}
-    failures = suite(**{k: v for k, v in options.items() if v is not None})
+    given = {k: v for k in ("n_max", "seed", "trials") if (v := getattr(args, k)) is not None}
+    unused = [k for k in given if k not in inspect.signature(suite).parameters]
+    if unused:
+        names = ", ".join("--" + k.replace("_", "-") for k in unused)
+        raise UsageError(f"suite {args.suite} takes no {names}")
+    failures = suite(**given)
     for line in failures:
         print(f"FAIL {line}")
     print(f"suite {args.suite}: {'ok' if not failures else f'{len(failures)} failures'}")

@@ -554,37 +554,29 @@ def link(a: IntSet, x: int) -> IntSet:
 def enumerate_large_sum_free(n: int, min_size: int) -> Iterator[IntSet]:
     """Every sum-free S in [n] with |S| >= min_size, by pruned backtracking.
 
-    Refuses n above EXHAUSTIVE_SUM_FREE_LIMIT rather than sampling.
+    Refuses n above EXHAUSTIVE_SUM_FREE_LIMIT rather than sampling, and
+    n < 1 (ValueError), as IntSet does.
     """
+    if n < 1:
+        raise ValueError(f"ground size must be at least 1, got {n}")
     if n > EXHAUSTIVE_SUM_FREE_LIMIT:
         raise LimitExceededError(
             f"n = {n} exceeds exhaustive limit {EXHAUSTIVE_SUM_FREE_LIMIT}"
         )
 
-    def extend(mask: int, size: int, next_elem: int):
-        remaining = n - next_elem + 1
-        if size + remaining < min_size:
+    def extend(mask: int, sums: int, size: int, x: int):
+        # sums has bit y + z set for every y, z in mask (y = z included);
+        # elements join in ascending order, so x may join iff bit x is clear
+        if size + n - x + 1 < min_size:
             return
-        if next_elem > n:
+        if x > n:
             if size >= min_size:
                 yield mask
             return
-        # skip next_elem
-        yield from extend(mask, size, next_elem + 1)
-        # take next_elem: since elements are added in ascending order, the
-        # only new violation possible is x = y + z with y, z already in
-        x = next_elem
-        violation = False
-        m = mask
-        while m:
-            lsb = m & -m
-            y = lsb.bit_length() - 1
-            if x - y > 0 and (mask >> (x - y)) & 1:
-                violation = True
-                break
-            m ^= lsb
-        if not violation:
-            yield from extend(mask | (1 << x), size + 1, next_elem + 1)
+        yield from extend(mask, sums, size, x + 1)
+        if not (sums >> x) & 1:
+            grown = mask | (1 << x)
+            yield from extend(grown, sums | (grown << x), size + 1, x + 1)
 
-    for mask in extend(0, 0, 1):
+    for mask in extend(0, 0, 0, 1):
         yield IntSet._from_mask(n, mask)

@@ -160,8 +160,6 @@ class ColourConstraint:
 
 @dataclass
 class HostingHypergraph:
-    n: int
-    vertices: IntSet
     edges: list[tuple[int, ...]]
 
     def is_three_uniform(self) -> bool:
@@ -936,8 +934,7 @@ def minimal_obstruction(
     obstruction = [
         tuple(elems[v] for v in edge) for edge, k in zip(mapped, kept) if k
     ]
-    hg = HostingHypergraph(n=s.n, vertices=s, edges=obstruction)
-    return ObstructionResult(Status.NOT_COLOURABLE, hg, total_nodes)
+    return ObstructionResult(Status.NOT_COLOURABLE, HostingHypergraph(obstruction), total_nodes)
 
 
 def _rotate(

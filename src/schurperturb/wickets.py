@@ -220,10 +220,11 @@ def count_wickets_containing(u, n: int) -> int:
     group whose x's hold all of u reads its rows' leg-triple counts from
     the table. Splits into single elements are checked on every row of
     their group at once (`_single_splits`). A split with a pair takes its
-    group's rows with x_i = b - a, one run of the rows sorted by group and
-    x_i, or its one row when it has two pairs (`_pair_items`). The items
-    left with free legs, from every group, are counted in one `_legs` and
-    one `_two_leg_disjoint` pass per ITEM_BATCH items (`_FreeLegs`).
+    group's rows with x_i = b - a for the leg i of its first pair, one run
+    of the rows sorted by group and x_i, and drops those its other pairs
+    rule out (`_pair_items`). The items left with free legs, from every
+    group, are counted in one `_legs` and one `_two_leg_disjoint` pass per
+    ITEM_BATCH items (`_FreeLegs`).
 
     Time O(r (log r + |u|) + items * n) for the r < n^2 / 2 rows, where
     items is at most 48 r, and at most n per split when a split has a
@@ -262,25 +263,17 @@ def count_wickets_containing(u, n: int) -> int:
             vals = np.broadcast_to(uu, (len(in_k), len(uu)))[(code[in_k, None] >> np.arange(len(uu))) & 1 == 1]
             total += _single_splits(table.x[:, in_k], vals.reshape(-1, k), state, free_legs)
     group, a, diff, sign = _pair_entries(uu, bits)
-    # A split with one pair ranges over its group's rows with x_i = b - a.
-    # One with two pairs has at most one row, found from its differences,
-    # and drops it when it lies in another group.
+    # A split with a pair ranges over its group's rows with x_i = b - a for
+    # the leg i of its first pair; _pair_items checks any other pair.
     i0 = np.argmax(diff > 0, axis=0)
     target = ((i0 << len(uu)) + codes[group]) * (n + 1) + diff[i0, np.arange(len(group))]
     starts = np.searchsorted(key, target)
     lengths = np.searchsorted(key, target, side="right") - starts
-    two = np.count_nonzero(diff, axis=0) >= 2
-    row = table.row_of(diff, two)
-    position = np.empty(rows, dtype=np.int64)  # of each row in by_leg[0]
-    position[by_leg[0]] = np.arange(rows)
-    starts = np.where(two, position[np.maximum(row, 0)], starts)
-    lengths = np.where(two, row >= 0, lengths)
     items = int(lengths.sum())
     for lo in range(0, items, ITEM_BATCH):
         e, pos = _ranges(starts, lengths, lo, min(lo + ITEM_BATCH, items))
         r = by_leg.ravel()[pos]
-        ok = code[r] == codes[group[e]]
-        total += _pair_items(state, table.x[:, r], ok, a[:, e], diff[:, e], sign[:, e], free_legs)
+        total += _pair_items(state, table.x[:, r], a[:, e], diff[:, e], sign[:, e], free_legs)
     return total + free_legs.count()
 
 
@@ -314,18 +307,18 @@ def _single_splits(x: np.ndarray, vals: np.ndarray, state: np.ndarray, free_legs
     return total
 
 
-def _pair_items(state, x, ok, a, diff, sign, free_legs: _FreeLegs) -> int:
+def _pair_items(state, x, a, diff, sign, free_legs: _FreeLegs) -> int:
     """Wickets over (row, split) items, one per column of the (3, items)
     arrays: the row's x's, and per leg the least element a of u on it (0
     when the leg is free), the pair difference b - a (0 unless a pair) and
     the side of the leg's other end o = a + sign * x. A fixed leg needs o
     in [1, n], outside u for a single element and equal to b for a pair
-    (so x_i = b - a), and o may be neither an x nor another leg's o; ok
-    marks the items whose row is in their split's group. Items with free
-    legs go to free_legs; returns the count of the others."""
+    (so x_i = b - a), and o may be neither an x nor another leg's o. Items
+    with free legs go to free_legs; returns the count of the others."""
     n = (len(state) - 1) // 3
     fixed = a > 0
     o = a + sign * x
+    ok = np.ones(x.shape[1], dtype=bool)
     for i in range(3):
         ok &= ~fixed[i] | (
             (state[n + o[i]] == (diff[i] > 0))
@@ -462,22 +455,9 @@ class _RowTable:
     filled in on first use. Memory O(n^2)."""
 
     def __init__(self, n: int):
-        self.n = n
         self.ground = np.arange(n + 1) > 0  # [1, n]
         self.x = _rows(self.ground)
-        self.start = np.searchsorted(self.x[0], np.arange(n + 1))  # first row of each x1
         self._triples = np.full(self.x.shape[1], -1, dtype=np.int64)
-
-    def row_of(self, diff: np.ndarray, where: np.ndarray) -> np.ndarray:
-        """Per column of diff (the legs' differences, 0 where unknown), the
-        row with those differences where where is set and two of them are
-        known; -1 elsewhere and where there is no such row."""
-        x1, x2, x3 = diff
-        x1 = np.where(x1 > 0, x1, x3 - x2)
-        x2 = np.where(x2 > 0, x2, x3 - x1)
-        ok = where & (x1 >= 1) & (x2 >= 1) & (x1 != x2) & (x1 + x2 <= self.n)
-        row = self.start[np.where(ok, x1, 1)] + x2 - 1 - (x2 > x1)
-        return np.where(ok, row, -1)
 
     def disjoint_triples(self, rows: np.ndarray) -> np.ndarray:
         """Per row of rows, its count of ordered pairwise disjoint leg

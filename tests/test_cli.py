@@ -325,6 +325,18 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "--suite", "moments", "--trials", "10")
         assert code == EXIT_OK
 
+    def test_options_the_suite_does_not_take_rejected(self, capsys):
+        # each given option outside the suite's parameters is named, and
+        # the suite does not run
+        code, out, err = run(capsys, "verify", "--suite", "hu", "--n-max", "11",
+                             "--seed", "5", "--trials", "3")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: suite hu takes no --seed, --trials\n"
+        code, out, err = run(capsys, "verify", "--suite", "moments", "--n-max", "500",
+                             "--trials", "2")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: suite moments takes no --n-max\n"
+
     def test_stability_bound_attained(self, capsys):
         # min S >= |S| holds, with equality at {6, ..., 11} in [11]
         code, out, _ = run(capsys, "verify", "--suite", "stability",

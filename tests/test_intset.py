@@ -606,3 +606,9 @@ class TestEnumerateLargeSumFree:
     def test_limit(self):
         with pytest.raises(LimitExceededError):
             list(enumerate_large_sum_free(EXHAUSTIVE_SUM_FREE_LIMIT + 1, 1))
+
+    def test_empty_ground_rejected(self):
+        # as IntSet(0) is; the empty set of [0] was once yielded
+        for n in (0, -3):
+            with pytest.raises(ValueError, match="ground size"):
+                list(enumerate_large_sum_free(n, 0))

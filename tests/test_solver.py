@@ -194,15 +194,13 @@ class TestMinimalObstruction:
 class TestHminProperties:
     def test_report(self):
         base = IntSet(10, [9, 10])
-        h = HostingHypergraph(10, IntSet(10, range(1, 11)), [(1, 2, 3), (3, 4, 7)])
+        h = HostingHypergraph([(1, 2, 3), (3, 4, 7)])
         rep = check_hmin_properties(h, base)
         assert rep.uniform3 and rep.one_base_per_edge and rep.linear
 
     def test_violations(self):
         base = IntSet(10, [6, 7])
-        h = HostingHypergraph(
-            10, IntSet.full(10), [(1, 2), (1, 6, 7), (1, 2, 3), (1, 2, 4)]
-        )
+        h = HostingHypergraph([(1, 2), (1, 6, 7), (1, 2, 3), (1, 2, 4)])
         rep = check_hmin_properties(h, base)
         assert not rep.uniform3
         assert not rep.one_base_per_edge  # (1, 6, 7) holds two base elements
@@ -212,7 +210,7 @@ class TestHminProperties:
 class TestLooseCycle:
     def test_finds_hand_built_cycle(self):
         edges = [(1, 2, 3), (3, 4, 5), (5, 6, 7), (7, 8, 1)]
-        h = HostingHypergraph(8, IntSet.full(8), edges)
+        h = HostingHypergraph(edges)
         cycle = find_loose_cycle(h, IntSet(8, [2, 6]))
         assert cycle is not None
         assert len(cycle.edges) >= 3
@@ -220,13 +218,13 @@ class TestLooseCycle:
 
     def test_no_cycle_in_path(self):
         edges = [(1, 2, 3), (3, 4, 5), (5, 6, 7)]
-        h = HostingHypergraph(7, IntSet.full(7), edges)
+        h = HostingHypergraph(edges)
         assert find_loose_cycle(h, IntSet(7)) is None
 
     def test_types_and_consecutive_pairs(self):
         edges = [(1, 2, 3), (3, 4, 5), (5, 6, 1)]
         base = IntSet(6, [2, 4])
-        h = HostingHypergraph(6, IntSet.full(6), edges)
+        h = HostingHypergraph(edges)
         cycle = find_loose_cycle(h, base)
         assert cycle is not None
         assert sorted(cycle.types) == ["t1", "t2", "t2"]
@@ -234,14 +232,14 @@ class TestLooseCycle:
         assert set(d) == {"edges", "types", "consecutive_t2_pairs"}
 
     def test_requires_three_uniform(self):
-        h = HostingHypergraph(5, IntSet.full(5), [(1, 2)])
+        h = HostingHypergraph([(1, 2)])
         with pytest.raises(ValueError):
             find_loose_cycle(h, IntSet(5))
 
     @staticmethod
     def search(edges):
         n = max(max(e) for e in edges)
-        return find_loose_cycle(HostingHypergraph(n, IntSet.full(n), edges), IntSet(n))
+        return find_loose_cycle(HostingHypergraph(edges), IntSet(n))
 
     def test_agrees_with_enumeration(self):
         rng = random.Random(16)

@@ -171,6 +171,25 @@ class TestCountContaining:
             assert count_wickets(s) == oracle_count(s)
             assert count_wickets(s, chi) == oracle_count(s, chi)
 
+    def test_splits_with_several_pairs(self, monkeypatch):
+        # a split with two or three pairs takes the run of its first pair's
+        # leg and drops the rows its other pairs rule out, one item at a
+        # time; in the second case the row (1, 2, 3) both pairs of some
+        # splits pin lies in another group, since its x3 = 3 is in u
+        cases = [
+            (([9, 10, 11, 13], 13), 116),
+            (([3, 9, 10, 11, 13], 13), 78),
+            (([3, 9, 10, 11, 13], 17), 270),
+            (([4, 7, 9, 10, 11, 13], 13), 30),
+        ]
+        monkeypatch.setattr(intset, "BLOCK_CELLS", 40)
+        monkeypatch.setattr(wickets, "ITEM_BATCH", 1)
+        wickets._row_table.cache_clear()
+        for (u, n), want in cases:
+            assert enumerated_containing(u, n) == want
+            assert count_wickets_containing(u, n) == want
+        wickets._row_table.cache_clear()
+
     def test_row_tables_interleaved(self):
         # more values of n than the cache holds, in turn and repeated: the
         # same counts whether a call builds its table or reuses one
