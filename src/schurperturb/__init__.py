@@ -7,15 +7,11 @@ analytic bounds, and seeded Monte Carlo threshold sweeps.
 from .intset import (
     IntSet,
     LimitExceededError,
-    count_4aps,
     count_hosting_sets,
     count_ordered_triples,
     enumerate_large_sum_free,
     hosting_sets,
     is_sum_free,
-    link,
-    link_minus,
-    link_plus,
     schur_triples,
 )
 from .solver import (
@@ -57,8 +53,6 @@ from .wickets import (
     claim_extension_bound,
     count_wickets,
     count_wickets_containing,
-    count_wickets_unordered,
-    is_wicket,
     iter_wickets,
 )
 from .bounds import (
@@ -73,12 +67,9 @@ from .bounds import (
 from .colouring_hypergraph import (
     ContainerLike,
     HAStats,
-    build_HA,
     claim48_density_witness,
     codegree_delta,
-    codegree_delta_exact,
     container_case,
-    ha_stats,
     ha_stats_fast,
     is_compatible,
     partition_by_container,

@@ -3,37 +3,23 @@ statistics, container records and the compatibility relation.
 
 Vertices are (element, side) with side "R" or "B". An edge is a red pair
 and a blue pair that both form a nondegenerate hosting set with a common
-target element of the base set; the full target list (one or two elements)
-is kept on the edge.
+target element of the base set.
 
-Stats come in two exact flavours: ha_stats walks a materialized edge list,
-ha_stats_fast computes the same numbers analytically from (A, n) so that
-million-edge instances never need materializing. The two agree everywhere
-they are both feasible (cross-checked in tests). ha_stats and
-codegree_delta_exact share one count of the edges through each j-set of
-vertices; ha_stats_fast takes its row blocks from intset.row_blocks.
+ha_stats_fast computes the degree statistics analytically from (A, n), so
+that million-edge instances are never materialized; it takes its row
+blocks from intset.row_blocks.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterator
 
 import numpy as np
 
 from .intset import IntSet, count_ordered_triples, row_blocks
-from .solver import BLUE, RED, ColourConstraint, SolveOutcome, find_schur_colouring
-
-Edge = tuple[frozenset[int], frozenset[int], tuple[int, ...]]
-
-
-@dataclass
-class ColouringHypergraph:
-    n: int
-    base: IntSet
-    edges: list[Edge]
+from .solver import ColourConstraint, SolveOutcome, find_schur_colouring
 
 
 @dataclass(frozen=True)
@@ -45,68 +31,9 @@ class HAStats:
     max_quad_degree: int
 
 
-def hosting_pairs(a: int, n: int) -> list[frozenset[int]]:
-    """Pairs {u, v} in [n] such that {a, u, v} hosts a nondegenerate
-    Schur triple."""
-    pairs = [frozenset((u, a - u)) for u in range(1, (a - 1) // 2 + 1)]
-    pairs.extend(
-        frozenset((u, u + a)) for u in range(1, n - a + 1) if u != a
-    )
-    return pairs
-
-
 def _check_base(a_set: IntSet, n: int) -> None:
     if a_set.mask >> (n + 1):
         raise ValueError("base set must live inside [1, n]")
-
-
-def build_HA(a_set: IntSet, n: int) -> ColouringHypergraph:
-    """Materialize all edges, deduplicated as vertex 4-sets, each carrying
-    its full ascending target list."""
-    _check_base(a_set, n)
-    targets: dict[tuple[frozenset[int], frozenset[int]], set[int]] = {}
-    for a in a_set:
-        pairs = hosting_pairs(a, n)
-        for rp in pairs:
-            for bp in pairs:
-                targets.setdefault((rp, bp), set()).add(a)
-    edges = [
-        (rp, bp, tuple(sorted(ts)))
-        for (rp, bp), ts in sorted(
-            targets.items(), key=lambda kv: (sorted(kv[0][0]), sorted(kv[0][1]))
-        )
-    ]
-    return ColouringHypergraph(n=n, base=a_set, edges=edges)
-
-
-def _edge_vertices(edge: Edge) -> list[tuple[int, str]]:
-    rp, bp, _ = edge
-    return [(e, RED) for e in rp] + [(e, BLUE) for e in bp]
-
-
-def _j_set_degrees(h: ColouringHypergraph, j: int) -> dict[tuple, int]:
-    """Number of edges containing each j-set of vertices, over the j-sets
-    that some edge contains."""
-    counts: dict[tuple, int] = {}
-    for edge in h.edges:
-        for sigma in combinations(sorted(_edge_vertices(edge)), j):
-            counts[sigma] = counts.get(sigma, 0) + 1
-    return counts
-
-
-def ha_stats(h: ColouringHypergraph) -> HAStats:
-    """Exact stats from a materialized edge list."""
-    e = len(h.edges)
-    deltas = {2: 0, 3: 0, 4: 1 if e else 0}
-    for j in (2, 3):
-        deltas[j] = max(_j_set_degrees(h, j).values(), default=0)
-    return HAStats(
-        edge_count=e,
-        average_degree=4 * e / (2 * h.n),
-        max_pair_degree=deltas[2],
-        max_triple_degree=deltas[3],
-        max_quad_degree=deltas[4],
-    )
 
 
 def _pair_counts(a: np.ndarray, n: int) -> np.ndarray:
@@ -313,27 +240,6 @@ def codegree_delta(stats: HAStats, tau: float) -> float:
         raise ValueError("average degree must be positive")
     weights = {2: 1.0, 3: 0.5, 4: 0.125}  # 2^-binom(j-1, 2)
     return 32 * sum(w * deltas[j] / (tau ** (j - 1) * d) for j, w in weights.items())
-
-
-def codegree_delta_exact(h: ColouringHypergraph, tau: float) -> float:
-    """Codegree function with the exact per-vertex maxima."""
-    if not 0 < tau <= 1:
-        raise ValueError("tau must lie in (0, 1]")
-    if not h.edges:
-        return 0.0
-    big_n = 2 * h.n
-    d = 4 * len(h.edges) / big_n
-    sums = {}
-    for j in (2, 3, 4):
-        per_vertex: dict[tuple[int, str], int] = {}
-        for sigma, cnt in _j_set_degrees(h, j).items():
-            for v in sigma:
-                per_vertex[v] = max(per_vertex.get(v, 0), cnt)
-        sums[j] = sum(per_vertex.values())
-    weights = {2: 1.0, 3: 0.5, 4: 0.125}
-    return 32 * sum(
-        w * sums[j] / (tau ** (j - 1) * big_n * d) for j, w in weights.items()
-    )
 
 
 @dataclass(frozen=True)

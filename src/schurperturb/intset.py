@@ -1,4 +1,5 @@
-"""Ground-set arithmetic over [1, n]: membership, Schur triples, 4-APs, links.
+"""Ground-set arithmetic over [1, n]: membership, sum-free tests, Schur
+triples, hosting sets and 4-AP starts.
 
 Sets are immutable and bit-indexed, so membership tests and sumset-style
 scans are cheap even at n in the millions. All enumeration orders are
@@ -490,22 +491,6 @@ def _ap4_starts(mask: int, d: int) -> int:
     return mask & (mask >> d) & (mask >> (2 * d)) & (mask >> (3 * d))
 
 
-def count_4aps(s: IntSet) -> int:
-    """Number of pairs (a, d), d >= 1, with a, a+d, a+2d, a+3d all in s."""
-    mask = s.mask
-    return sum(_ap4_starts(mask, d).bit_count() for d in range(1, (s.n - 1) // 3 + 1))
-
-
-def ap_differences(s: IntSet) -> IntSet:
-    """Set of d such that s contains a 4-AP with common difference d."""
-    mask = s.mask
-    out = 0
-    for d in range(1, (s.n - 1) // 3 + 1):
-        if _ap4_starts(mask, d):
-            out |= 1 << d
-    return IntSet._from_mask(s.n, out)
-
-
 def l1_values(a: int, x: int, d: int) -> list[int]:
     """The eleven values of the Schur configuration L1(a, x, d): {d, x, x+d}
     and the 4-APs with step d from a and from a + x."""
@@ -524,31 +509,6 @@ def l2_values(a: int, x: int, d: int) -> list[int]:
         a, a + d, a + 2 * d, a + 3 * d,
         x - a - 3 * d, x - a - 2 * d, x - a - d, x - a,
     ]
-
-
-def link_plus(a: IntSet, x: int) -> IntSet:
-    """S^+ link: elements y of a with x + y in a."""
-    if not 1 <= x <= a.n:
-        raise ValueError(f"x = {x} outside [1, {a.n}]")
-    mask = a.mask
-    return IntSet._from_mask(a.n, mask & (mask >> x))
-
-
-def link_minus(a: IntSet, x: int) -> IntSet:
-    """S^- link: elements y of a with x - y in a."""
-    if not 1 <= x <= a.n:
-        raise ValueError(f"x = {x} outside [1, {a.n}]")
-    # entry y of the reversed indicator of [0, x] is entry x - y; entry 0
-    # (bit 0) is never set, so neither y = 0 nor y = x is kept
-    ind = np.zeros(x + 1, dtype=bool)
-    bits = indicator(a)[: x + 1]
-    ind[: bits.size] = bits
-    out = np.packbits(ind & ind[::-1], bitorder="little").tobytes()
-    return IntSet._from_mask(a.n, int.from_bytes(out, "little"))
-
-
-def link(a: IntSet, x: int) -> IntSet:
-    return link_plus(a, x).union(link_minus(a, x))
 
 
 def enumerate_large_sum_free(n: int, min_size: int) -> Iterator[IntSet]:

@@ -14,7 +14,6 @@ import json
 import math
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -176,12 +175,15 @@ def _execute(
     workers: int,
 ) -> list[TrialRecord]:
     """Run one trial per (p, trial_index) job, in job order; a process pool
-    only when workers > 1."""
+    only when workers > 1, so importing the package loads no
+    multiprocessing."""
     if a.n != n:
         a = IntSet(n, a)
     tasks = [(a._mask, n, p, rng.master_seed, i, budget) for p, i in jobs]
     if workers <= 1:
         return [_run_one(t) for t in tasks]
+    from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         chunksize = max(1, len(tasks) // (4 * workers))
         return list(pool.map(_run_one, tasks, chunksize=chunksize))

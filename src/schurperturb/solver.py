@@ -24,13 +24,13 @@ colours maps every colouring to another, so the root tries only its first
 colour: a refutation costs half the trials of trying both, and colourable
 searches are unchanged.
 
-`find_schur_colouring` (and so `is_schur`) gives a sum-free set the
-search's answer on no edges (0 trials) without building its hypergraph.
-It then scans a set whose elements all allow both colours for an embedded
-copy of the paper's eleven-value Schur configurations L1(a, x, d) or
-L2(a, x, d) (see `schur_certificate`): for each step d, big-int shifts of
-the mask of 4-AP starts, or one FFT of it when that is cheaper, locate a
-copy. A copy found is checked to lie in the set and, by trying all 2^11
+`find_schur_colouring` (and so `is_schur`) and `minimal_obstruction` give
+a sum-free set the search's answer on no edges (0 trials) without building
+its hypergraph. `find_schur_colouring` then scans a set whose elements all
+allow both colours for an embedded copy of the paper's eleven-value Schur
+configurations L1(a, x, d) or L2(a, x, d) (see `schur_certificate`): for
+each step d, big-int shifts of the mask of 4-AP starts, or one FFT of it
+when that is cheaper, locate a copy. A copy found is checked to lie in the set and, by trying all 2^11
 colourings, to be uncolourable; it then decides the set NOT_COLOURABLE.
 Failing that, `split_witness` colours the top of the set as the paper's
 lower-bound colourings do, an interval split into a blue and a red part,
@@ -181,13 +181,12 @@ def _allowed(s: IntSet, constraints: ColourConstraint) -> list[tuple[int, ...]]:
     if not no_red | no_blue:
         return [(0, 1)] * len(s)
     member = indicator(s)
-
-    def barred(mask: int) -> np.ndarray:
-        bits = mask_bits(mask)
-        return np.pad(bits, (0, member.size - bits.size))[member]
-
+    code = np.zeros(member.size, dtype=np.int8)  # by value
+    for weight, mask in ((2, no_red), (1, no_blue)):
+        bits = mask_bits(mask)  # no longer than member: mask lies in s
+        code[: bits.size] += weight * bits
     choices = ((0, 1), (1,), (0,), ())  # by 2 * (red barred) + (blue barred)
-    return [choices[k] for k in (2 * barred(no_red) + barred(no_blue)).tolist()]
+    return [choices[k] for k in code[member].tolist()]
 
 
 def _hosting_instance(s: IntSet) -> tuple[list[int], list[tuple[int, ...]]]:
@@ -486,18 +485,6 @@ def _search(
     """One search on a fresh _SearchState: (status, colour code per vertex,
     nodes, core), see there."""
     return _SearchState(allowed, edges).run(budget)
-
-
-def _solve_edges(
-    s: IntSet,
-    edges: list[tuple[int, ...]],
-    constraints: ColourConstraint,
-    budget: int,
-) -> SolveOutcome:
-    """Core search over an explicit edge list on the elements of s."""
-    index = {e: i for i, e in enumerate(s)}
-    mapped = [tuple(map(index.__getitem__, edge)) for edge in edges]
-    return _solve_mapped(s, mapped, constraints, budget)
 
 
 def _solve_mapped(
@@ -895,16 +882,22 @@ def minimal_obstruction(
     unless the edge could have changed it.
     `budget` applies to each search that runs, and `nodes_explored` sums
     their nodes; a skipped deletion never searches, so it uses no budget.
-    A set with more than HOSTING_SET_CAP hosting sets (_over_hosting_cap)
-    gets BUDGET_EXCEEDED with 0 nodes, and nothing is built.
+    A sum-free s, as in find_schur_colouring, is searched on no edges with
+    no hosting sets built: COLOURABLE, or NOT_COLOURABLE with the empty
+    obstruction when an element allows no colour. A set with more than
+    HOSTING_SET_CAP hosting sets (_over_hosting_cap) gets BUDGET_EXCEEDED
+    with 0 nodes, and nothing is built.
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
     if constraints is None:
         constraints = ColourConstraint.free()
-    if _over_hosting_cap(s):
+    if is_sum_free(s):
+        elems, mapped = [], []  # no hosting set
+    elif _over_hosting_cap(s):
         return ObstructionResult(Status.BUDGET_EXCEEDED, None, 0)
-    elems, mapped = _hosting_instance(s)
+    else:
+        elems, mapped = _hosting_instance(s)
     allowed = _allowed(s, constraints)
     search = _SearchState(allowed, mapped)
     status, _, total_nodes, core = search.run(budget)

@@ -1,4 +1,4 @@
-"""Wicket recognition and exact counting.
+"""Exact wicket counting and enumeration.
 
 A wicket is an ordered 9-tuple (x1,y1,z1,x2,y2,z2,x3,y3,z3) of distinct
 elements with x_i + y_i = z_i and x1 + x2 = x3. Counts are of ordered
@@ -38,18 +38,6 @@ ITEM_BATCH = 1 << 16
 # Row tables of count_wickets_containing kept at once, one per n; the
 # least recently used is dropped.
 ROW_TABLE_NS = 4
-
-
-def is_wicket(entries, n: int) -> bool:
-    t = tuple(entries)
-    if len(t) != 9 or len(set(t)) != 9:
-        return False
-    if any(not 1 <= e <= n for e in t):
-        return False
-    x1, y1, z1, x2, y2, z2, x3, y3, z3 = t
-    return (
-        x1 + y1 == z1 and x2 + y2 == z2 and x3 + y3 == z3 and x1 + x2 == x3
-    )
 
 
 def _shift(m: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -199,11 +187,6 @@ def iter_wickets(s: IntSet, chi: IntSet | None = None):
                         if y3 in e2 or z3 in e2:
                             continue
                         yield (x1, y1, z1, x2, y2, z2, x3, y3, z3)
-
-
-def count_wickets_unordered(s: IntSet, chi: IntSet | None = None) -> int:
-    """Number of distinct 9-element entry sets supporting a wicket."""
-    return len({frozenset(w) for w in iter_wickets(s, chi)})
 
 
 def count_wickets_containing(u, n: int) -> int:

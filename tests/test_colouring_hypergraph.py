@@ -10,15 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import build_HA, codegree_delta_exact, ha_stats
 from schurperturb import colouring_hypergraph, intset
 from schurperturb.colouring_hypergraph import (
     ContainerLike,
-    build_HA,
     claim48_density_witness,
     codegree_delta,
-    codegree_delta_exact,
     container_case,
-    ha_stats,
     ha_stats_fast,
     HAStats,
     is_compatible,
@@ -94,6 +92,13 @@ def ref_ha_stats_fast(a_set: IntSet, n: int) -> HAStats:
             vec[x] -= 1
         delta3 = max(delta3, int(vec.max()))
     return HAStats(e, 4 * e / (2 * n), max(d2_same, d2_cross), delta3, 1 if e else 0)
+
+
+def fresh_python(code: str) -> str:
+    """The stdout of code run by a fresh interpreter that finds the package."""
+    src = os.path.dirname(os.path.dirname(colouring_hypergraph.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
 
 
 def ref_density_witness(c: ContainerLike):
@@ -197,10 +202,12 @@ class TestStats:
             "ha_stats_fast(IntSet(70, [5, 9, 14, 22, 31, 40, 41, 42, 43, 44]), 70)\n"
             "print('numpy.ma' in sys.modules)\n"
         )
-        src = os.path.dirname(os.path.dirname(colouring_hypergraph.__file__))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-        assert out.stdout == "False\n"
+        assert fresh_python(code) == "False\n"
+
+    def test_import_loads_no_multiprocessing(self):
+        # the process pool of a sweep is imported only when workers > 1
+        code = "import sys\nimport schurperturb\nprint('multiprocessing' in sys.modules)\n"
+        assert fresh_python(code) == "False\n"
 
     def test_fast_matches_outer_product_reference(self):
         rng = random.Random(45)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import is_sum_free_mask
+from oracles import ap_differences, count_4aps, is_sum_free_mask, link, link_minus, link_plus
 from schurperturb import intset, odd_set, sample_perturbation, top_interval, RngSpec
 from schurperturb.intset import (
     EXHAUSTIVE_SUM_FREE_LIMIT,
@@ -15,16 +15,11 @@ from schurperturb.intset import (
     IntSet,
     LimitExceededError,
     MAX_GROUND,
-    ap_differences,
-    count_4aps,
     count_hosting_sets,
     count_ordered_triples,
     enumerate_large_sum_free,
     hosting_sets,
     is_sum_free,
-    link,
-    link_minus,
-    link_plus,
     schur_triples,
 )
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import schurperturb.solver as solver_module
-from oracles import is_loose_cycle, is_schur_mask, is_sum_free_mask, loose_cycles
+from oracles import _solve_edges, is_loose_cycle, is_schur_mask, is_sum_free_mask, loose_cycles
 from schurperturb.cli import prop31_instances
 from schurperturb.constructions import construct_by_name, odd_set
 from schurperturb.intset import (
@@ -41,7 +41,6 @@ from schurperturb.solver import (
     _rotate,
     _search,
     _SearchState,
-    _solve_edges,
     minimal_obstruction,
     schur_certificate,
     split_witness,
@@ -1145,7 +1144,7 @@ def _sum_free_instances():
 
 class TestSumFree:
     """A sum-free set gets the search's answer on no edges, with no
-    hypergraph built."""
+    hypergraph built, from find_schur_colouring and minimal_obstruction."""
 
     @pytest.mark.parametrize("case", _sum_free_instances())
     def test_same_outcome_as_search(self, case, monkeypatch):
@@ -1164,4 +1163,11 @@ class TestSumFree:
             expected.status,
             expected.nodes_explored,
             expected.witness,
+        )
+        res = minimal_obstruction(s, constraints, budget)
+        edges = res.hypergraph.edges if res.hypergraph else None
+        assert (res.status, edges, res.nodes_explored) == (
+            expected.status,
+            [] if expected.status is Status.NOT_COLOURABLE else None,
+            expected.nodes_explored,
         )
