@@ -19,7 +19,7 @@ from typing import Iterator
 import numpy as np
 
 from .intset import IntSet, count_ordered_triples, row_blocks
-from .solver import ColourConstraint, SolveOutcome, find_schur_colouring
+from .solver import DEFAULT_BUDGET, ColourConstraint, SolveOutcome, find_schur_colouring
 
 
 @dataclass(frozen=True)
@@ -300,7 +300,7 @@ def container_case(c: ContainerLike, epsilon: float) -> str:
 
 
 def is_compatible(
-    a_set: IntSet, p_set: IntSet, c: ContainerLike, budget: int = 10**7
+    a_set: IntSet, p_set: IntSet, c: ContainerLike, budget: int = DEFAULT_BUDGET
 ) -> SolveOutcome:
     """Does some Schur colouring of a_set u p_set fit inside the container?
     COLOURABLE with such a colouring, NOT_COLOURABLE when none exists."""

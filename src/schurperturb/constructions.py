@@ -63,9 +63,22 @@ class DenseZeroStatement:
         return 2 * self.t - 1
 
 
-def dense_zero_statement(n: int, t: int) -> DenseZeroStatement:
+def check_dense_t(n: int, t: int) -> None:
+    """ValueError unless |A| = ceil(n/2) + t is a dense size of the paper,
+    1 <= t and ceil(n/2) + t <= ceil(4n/5)."""
     if t < 1 or math.ceil(n / 2) + t > math.ceil(4 * n / 5):
         raise ValueError(f"require 1 <= t and ceil(n/2)+t <= ceil(4n/5); got n={n}, t={t}")
+
+
+def check_sparse_s(n: int, s: int) -> None:
+    """ValueError unless 1 <= s <= floor(n/2), the sizes of a sum-free top
+    interval."""
+    if not 1 <= s <= n // 2:
+        raise ValueError(f"require 1 <= s <= floor(n/2); got n={n}, s={s}")
+
+
+def dense_zero_statement(n: int, t: int) -> DenseZeroStatement:
+    check_dense_t(n, t)
     lo = math.ceil((n + 1) / 2) - t
     a = IntSet.interval(n, lo, n)
     b = IntSet.interval(n, lo, n - 2 * t)
@@ -75,8 +88,7 @@ def dense_zero_statement(n: int, t: int) -> DenseZeroStatement:
 
 def sparse_base(n: int, s: int) -> IntSet:
     """Top-s interval [n-s+1, n]; sum-free whenever s <= floor(n/2)."""
-    if not 1 <= s <= n // 2:
-        raise ValueError(f"require 1 <= s <= floor(n/2); got n={n}, s={s}")
+    check_sparse_s(n, s)
     return IntSet.interval(n, n - s + 1, n)
 
 

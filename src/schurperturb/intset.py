@@ -9,7 +9,6 @@ ascending and deterministic.
 from __future__ import annotations
 
 import bisect
-import json
 import operator
 from typing import Iterable, Iterator
 
@@ -134,16 +133,6 @@ class IntSet:
         return np.flatnonzero(indicator(self)).tolist()
 
     # ---- serialization ----
-
-    def to_json(self) -> str:
-        return json.dumps(self.elements())
-
-    @classmethod
-    def from_json(cls, text: str, n: int | None = None) -> "IntSet":
-        elems = json.loads(text)
-        if n is None:
-            n = max(elems) if elems else 1
-        return cls(n, elems)
 
     def to_runs(self) -> str:
         """Compact run-length form "a-b,c,d-e" (empty set -> "")."""
@@ -436,7 +425,7 @@ def hosting_sets(s: IntSet) -> list[tuple[int, ...]]:
     return _edge_tuples(*_hosting_columns(s))
 
 
-def count_ordered_triples(s: IntSet, nondegenerate_only: bool = False) -> int:
+def count_ordered_triples(s: IntSet) -> int:
     """Number of ordered (x, y, z) in s^3 with x + y = z.
 
     A set with |s|^2 <= max(s) counts the pairs x <= y of the pair finder,
@@ -448,11 +437,9 @@ def count_ordered_triples(s: IntSet, nondegenerate_only: bool = False) -> int:
     m = ceil((max s + 1) / L) blocks, i.e. O(n log n) up to n = FFT_BLOCK
     (3 ms at n = 10^5, 55 ms at n = 10^6 on a 2-core x86 machine), and
     memory max(s) bytes plus at most FFT_MEMORY_CAP = 32 MiB of spectra,
-    whatever n is. With nondegenerate_only the triples with x = y, one per
-    x with 2x in s, are left out.
+    whatever n is.
     """
-    count = sum(_triple_counts(s))
-    return count - _doubles(s) if nondegenerate_only else count
+    return sum(_triple_counts(s))
 
 
 def count_hosting_sets(s: IntSet) -> int:

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .constructions import check_dense_t, check_sparse_s
 from .intset import IntSet
 from .solver import DEFAULT_BUDGET, VERDICT, SchurStatus, find_schur_colouring
 
@@ -232,6 +233,8 @@ def sweep(
     """run_trials per grid point with globally consecutive trial indices."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not p_grid:
+        raise ValueError("p_grid must not be empty")
     if any(q > r for q, r in zip(p_grid, p_grid[1:])):
         raise ValueError("p_grid must be ascending")
     jobs = [(p, i * trials + j) for i, p in enumerate(p_grid) for j in range(trials)]
@@ -298,13 +301,19 @@ def estimate_threshold(curve: SweepCurve) -> tuple[float, float, float]:
 def theoretical_thresholds(
     n: int, t: int | None = None, s: int | None = None
 ) -> dict[str, float | None]:
-    """The five asymptotic threshold scales evaluated at finite n."""
+    """The five asymptotic threshold scales evaluated at finite n; the
+    dense one needs t and the sparse ones s, in the ranges that dense0:n,t
+    and sparse:n,s accept (ValueError otherwise)."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    if t is not None:
+        check_dense_t(n, t)
+    if s is not None:
+        check_sparse_s(n, s)
     return {
-        "dense": min(n ** (-2 / 3), 1 / t) if t else None,
-        "sparse_zero": (n * s) ** (-1 / 3) if s else None,
-        "sparse_one": (n**13 * s) ** (-1 / 27) * math.log(n) if s else None,
+        "dense": None if t is None else min(n ** (-2 / 3), 1 / t),
+        "sparse_zero": None if s is None else (n * s) ** (-1 / 3),
+        "sparse_one": None if s is None else (n**13 * s) ** (-1 / 27) * math.log(n),
         "random": n**-0.5,
         "positive_density": n ** (-2 / 3),
     }

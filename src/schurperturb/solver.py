@@ -67,7 +67,7 @@ exponential in the number of edges.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, insort
 from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
@@ -735,13 +735,13 @@ def _certified(mask: int, values: list[int]) -> bool:
 
 
 # Work caps of split_witness: the split points it tries and the most
-# elements below a split's blue part (coloured by _extend). On the 1,170
-# seed-11 sweep_dense trials (dense0:300,15) the splits decided 824 of the
-# 828 colourable ones, at about 0.04 ms per trial, decided or not, with
-# the sum-free gate on its shift path; on dense0:100000,1000 at th/2,
-# 13 of 20 trials, each split_witness call under 1 ms (2-core x86
-# machine). On both, no split left a low element free to take either
-# colour, the one case _extend does not colour.
+# elements below a split's blue part. On the 1,170 seed-11 sweep_dense
+# trials (dense0:300,15) the splits decided 824 of the 828 colourable
+# ones, at about 0.04 ms per trial, decided or not, with the sum-free gate
+# on its shift path; on dense0:100000,1000 at th/2, 13 of 20 trials, each
+# split_witness call under 1 ms (2-core x86 machine). On both, no split
+# left a low element free to take either colour, the one case where a
+# split is skipped although a colouring of it may exist.
 SPLIT_POINTS = 16
 SPLIT_LOW = 24
 
@@ -751,84 +751,51 @@ def split_witness(s: IntSet) -> Colouring | None:
 
     For a split point m in [max(s) // 2, max(s) - 1] and L = m // 2 + 1,
     the blue core s & [L, m] and the red core s & [m + 1, max(s)] are
-    sum-free (2L > m and 2(m + 1) > max(s)). The low elements
-    s & [1, L - 1] are coloured by _extend, and the colouring is returned
-    only once both classes pass is_sum_free (_classes_sum_free), so a
-    returned colouring is always proper.
+    sum-free (2L > m and 2(m + 1) > max(s)). A low element x of s & [1,
+    L - 1] can join a core K unless x is in K - K or 2x is in K; these are
+    the only sums x + y = z with y or z in K, as K lies above every low
+    element. Each low element is given the one class it can join, and the
+    split is skipped when some element can join both or neither. The
+    colouring is returned only once both classes pass is_sum_free
+    (_classes_sum_free), the one check of the sums among low elements, so
+    a returned colouring is always proper.
 
     Each L gets one split, its largest m, min(2L - 1, max(s) - 1). L runs
     down from the largest value that leaves at most SPLIT_LOW low elements,
     for at most SPLIT_POINTS values; None means no split gave a colouring,
-    not that none exists. The (SPLIT_LOW + 1)-th smallest element, which
-    bounds L, is found by peeling low bits off the mask, and the parts are
-    masks, so no split decodes the set. Only low elements can lie below
-    half of a class's maximum, as each core lies above half its own, so
-    the gate takes is_sum_free's shift path: at most SPLIT_LOW shifts.
+    not that none exists. The SPLIT_LOW + 1 smallest elements are decoded
+    once per call, by peeling low bits off the mask: the last bounds L, and
+    every split's low elements are a prefix of them. The cores are masks,
+    so no split decodes the set. Only low elements can lie below half of a
+    class's maximum, as each core lies above half its own, so the gate
+    takes is_sum_free's shift path: at most SPLIT_LOW shifts.
     """
     mask = s.mask
     top = mask.bit_length() - 1
-    rest = mask
-    for _ in range(SPLIT_LOW):
+    smallest, rest = [], mask  # the SPLIT_LOW + 1 smallest elements
+    while rest and len(smallest) <= SPLIT_LOW:
+        smallest.append((rest & -rest).bit_length() - 1)
         rest &= rest - 1
-    # L <= the lowest element left, the (SPLIT_LOW + 1)-th smallest, leaves
-    # at most SPLIT_LOW elements below L
-    start = min((top + 1) // 2, (rest & -rest).bit_length() - 1 if rest else top)
+    # L <= the (SPLIT_LOW + 1)-th smallest element leaves at most SPLIT_LOW
+    # elements below L
+    start = min((top + 1) // 2, smallest[SPLIT_LOW] if len(smallest) > SPLIT_LOW else top)
     for low_end in range(start, 0, -1)[:SPLIT_POINTS]:
         m = min(2 * low_end - 1, top - 1)  # the largest m with m // 2 + 1 = L
         if m < top // 2:
             break
-        low = mask & ((1 << low_end) - 1)
         red = mask >> (m + 1) << (m + 1)
-        blue = mask ^ red ^ low
-        extension = _extend(low, (blue, red))
-        if extension is None:
-            continue
-        colouring = Colouring(
-            IntSet._from_mask(s.n, red | extension[1]),
-            IntSet._from_mask(s.n, blue | extension[0]),
-        )
-        if _classes_sum_free(colouring.red, colouring.blue):
-            return colouring
+        blue = (mask >> low_end << low_end) ^ red
+        classes = [blue, red]
+        for x in smallest[: bisect_left(smallest, low_end)]:
+            no_blue = bool((blue >> x) & blue or (blue >> 2 * x) & 1)
+            if no_blue == bool((red >> x) & red or (red >> 2 * x) & 1):
+                break  # barred from both classes or from neither
+            classes[no_blue] |= 1 << x
+        else:
+            red_blue = IntSet._from_mask(s.n, classes[1]), IntSet._from_mask(s.n, classes[0])
+            if _classes_sum_free(*red_blue):
+                return Colouring(*red_blue)
     return None
-
-
-def _extend(low: int, cores: tuple[int, int]) -> tuple[int, int] | None:
-    """The elements of the mask low split into two masks, such that adding
-    each part to its core (cores[0] blue, cores[1] red, both sum-free and
-    every element of each above every element of low) leaves both classes
-    sum-free; None when some element allows no colour or both, or that
-    colouring fails.
-
-    Every sum x + y = z inside one class with some of x, y, z in low
-    becomes a constraint on low alone (K = cores[c]); as K lies above low,
-    x + y = z has z in K or x, y, z all in low, and y - x is never in K:
-    - x in low never has colour c when x in K - K or 2x in K;
-    - x <= y in low are not both c when x + y is in K or is an element of
-      low with colour c.
-    The first gives each element its allowed colours. When every element
-    allows exactly one, that colouring is the only candidate, and the
-    second is checked on it by one mask test per element. Elements are
-    taken from low by peeling off its lowest set bit, each test a few
-    big-int shifts of the cores.
-    """
-    blue, red = cores
-    classes = [0, 0]  # the elements of low given colour c
-    rest = low
-    while rest:
-        x = (rest & -rest).bit_length() - 1
-        rest &= rest - 1
-        no_blue = bool((blue >> x) & blue or (blue >> 2 * x) & 1)
-        if no_blue == bool((red >> x) & red or (red >> 2 * x) & 1):
-            return None  # barred from both colours or from neither
-        classes[no_blue] |= 1 << x
-    for core, part in zip(cores, classes):
-        whole, rest = core | part, part
-        while rest:
-            x = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            if (whole >> x) & part:
-                return None
-    return classes[0], classes[1]
 
 
 def _classes_sum_free(*classes: IntSet) -> bool:

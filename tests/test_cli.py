@@ -18,7 +18,7 @@ from schurperturb.cli import (
 )
 from schurperturb.constructions import L2, mod5_construction
 from schurperturb.intset import IntSet
-from schurperturb.montecarlo import RngSpec, sweep
+from schurperturb.montecarlo import RngSpec, SweepCurve, sweep
 from schurperturb.solver import SchurStatus
 from schurperturb.wickets import iter_wickets
 
@@ -242,6 +242,12 @@ class TestThresholds:
         assert float(data["dense"]) == pytest.approx(1e-4)
         assert data["sparse_zero"] is None
 
+    @pytest.mark.parametrize("arg", [("--t", "-5"), ("--t", "0"), ("--s", "-1"), ("--s", "501")])
+    def test_out_of_range(self, capsys, arg):
+        code, out, err = run(capsys, "thresholds", "--n", "1000", *arg)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error: require 1 <= ")
+
 
 class TestSweepCommand:
     def _config(self, tmp_path, **overrides):
@@ -276,6 +282,11 @@ class TestSweepCommand:
         code, out, _ = run(capsys, "sweep", "--config", path)
         assert code == EXIT_OK
         assert json.loads(out)["points"][0]["not_schur"] == 1
+
+    def test_empty_grid_rejected(self, capsys, tmp_path):
+        code, out, err = run(capsys, "sweep", "--config", self._config(tmp_path, p_grid=[]))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "p_grid must not be empty" in err
 
     def test_seed_mandatory(self, capsys, tmp_path):
         path = self._config(tmp_path, seed=None)
@@ -386,7 +397,9 @@ class TestEmission:
         assert curve_plotdata(curve).count("\n") == 2
 
     def test_empty_curve_csv(self):
-        curve = sweep(IntSet(6), 6, [], 3, RngSpec(2))
+        # a curve read back from results with no points (sweep itself
+        # rejects an empty grid)
+        curve = SweepCurve(n=6, base="custom", master_seed=2, budget=10, p_grid=[], points=[])
         assert curve_csv(curve) == "p,trials,schur,not_schur,unknown,mean_sample_size\n"
 
 

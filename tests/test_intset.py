@@ -49,15 +49,8 @@ def ref_hosting_sets(s):
     return sorted(out)
 
 
-def ref_count_ordered_triples(s, nondegenerate_only=False):
-    count = 0
-    for x, y, _ in ref_schur_triples(s):
-        if x == y:
-            if not nondegenerate_only:
-                count += 1
-        else:
-            count += 2
-    return count
+def ref_count_ordered_triples(s):
+    return sum(1 if x == y else 2 for x, y, _ in ref_schur_triples(s))
 
 
 def naive_triples(s):
@@ -198,15 +191,10 @@ class TestSerialization:
         with pytest.raises(ValueError, match="reversed run"):
             IntSet.from_runs(text)
 
-    def test_json_round_trip(self):
-        s = IntSet(9, [2, 5, 7])
-        assert IntSet.from_json(s.to_json(), 9) == s
-
     @settings(max_examples=50)
     @given(small_sets)
     def test_round_trip_property(self, s):
         assert IntSet.from_runs(s.to_runs(), s.n) == s
-        assert IntSet.from_json(s.to_json(), s.n) == s
 
 
 class TestSumFree:
@@ -307,7 +295,7 @@ class TestSumFreeAgainstReference:
         assert not is_sum_free(s) and not is_sum_free_mask(s.mask)
         assert products == [0]
         products.clear()
-        assert count_ordered_triples(s) == ref_count_ordered_triples(s, False)
+        assert count_ordered_triples(s) == ref_count_ordered_triples(s)
         assert len(products) > 100
 
     def test_paths_agree_across_the_dispatch(self, monkeypatch):
@@ -376,7 +364,7 @@ class TestTriplesAgainstReference:
     def test_same_values_and_order(self, s):
         for nd in (False, True):
             assert list(schur_triples(s, nd)) == list(ref_schur_triples(s, nd))
-            assert count_ordered_triples(s, nd) == ref_count_ordered_triples(s, nd)
+        assert count_ordered_triples(s) == ref_count_ordered_triples(s)
         assert hosting_sets(s) == ref_hosting_sets(s)
 
     def test_double_before_triple(self):
@@ -417,8 +405,7 @@ class TestTriplesAgainstReference:
         for n in (b + 1, b + 5000, 2 * b - 3):
             s = IntSet(n, [x for x in range(1, n + 1) if rng.random() < 0.004] + [n])
             assert len(s) ** 2 > max(s)
-            for nd in (False, True):
-                assert count_ordered_triples(s, nd) == ref_count_ordered_triples(s, nd)
+            assert count_ordered_triples(s) == ref_count_ordered_triples(s)
 
     @settings(max_examples=150)
     @given(st.integers(1, 300).flatmap(lambda n: st.tuples(st.just(n), st.sets(st.integers(1, n)))))
@@ -428,8 +415,7 @@ class TestTriplesAgainstReference:
         old = intset.FFT_BLOCK
         intset.FFT_BLOCK = 8
         try:
-            for nd in (False, True):
-                assert count_ordered_triples(s, nd) == ref_count_ordered_triples(s, nd)
+            assert count_ordered_triples(s) == ref_count_ordered_triples(s)
         finally:
             intset.FFT_BLOCK = old
 
@@ -450,12 +436,10 @@ class TestTriplesAgainstReference:
                     continue
                 s = IntSet(top, rng.sample(range(1, top), k - 1) + [top])
                 calls.clear()
-                for nd in (False, True):
-                    assert count_ordered_triples(s, nd) == ref_count_ordered_triples(s, nd)
+                assert count_ordered_triples(s) == ref_count_ordered_triples(s)
                 assert bool(calls) == fft
         for s in (IntSet(1), IntSet(1, [1]), IntSet(7), IntSet(2, [1, 2])):
-            for nd in (False, True):
-                assert count_ordered_triples(s, nd) == ref_count_ordered_triples(s, nd)
+            assert count_ordered_triples(s) == ref_count_ordered_triples(s)
 
     def test_full_intervals_at_block_edges(self):
         # [n] has n(n-1)/2 ordered triples; a full block is the float
@@ -480,8 +464,7 @@ class TestTriplesAgainstReference:
         try:
             parts = intset._block_triple_counts(intset.indicator(s), max(members, default=0))
             assert sum(count for _, count in parts) == ref_count_ordered_triples(s)
-            for nd in (False, True):
-                assert count_ordered_triples(s, nd) == ref_count_ordered_triples(s, nd)
+            assert count_ordered_triples(s) == ref_count_ordered_triples(s)
             assert is_sum_free(s) == is_sum_free_mask(s.mask)
         finally:
             intset.FFT_BLOCK, intset._shifts_cheaper = old
@@ -509,8 +492,7 @@ class TestTriplesAgainstReference:
         rng = random.Random(9)
         n = 20000
         s = IntSet(n, [x for x in range(1, n + 1) if rng.random() < 0.03])
-        for nd in (False, True):
-            assert count_ordered_triples(s, nd) == ref_count_ordered_triples(s, nd)
+        assert count_ordered_triples(s) == ref_count_ordered_triples(s)
 
 
 class TestTriples:
@@ -525,9 +507,6 @@ class TestTriples:
     @given(small_sets)
     def test_ordered_count(self, s):
         assert count_ordered_triples(s) == len(naive_triples(s))
-        assert count_ordered_triples(s, nondegenerate_only=True) == len(
-            [t for t in naive_triples(s) if t[0] != t[1]]
-        )
 
     @settings(max_examples=60)
     @given(small_sets)

@@ -93,6 +93,10 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(IntSet(5), 5, [0.1], 0, RngSpec(1))
 
+    def test_empty_grid_error(self):
+        with pytest.raises(ValueError, match="p_grid must not be empty"):
+            sweep(IntSet(5), 5, [], 2, RngSpec(1))
+
     def test_worker_independence(self):
         a, _ = mod5_construction(12)
         grid = [0.05, 0.3, 0.9]
@@ -175,6 +179,20 @@ class TestTheoreticalThresholds:
     def test_domain(self):
         with pytest.raises(ValueError):
             theoretical_thresholds(0)
+
+    @pytest.mark.parametrize("t", [-5, 0, 301])
+    def test_dense_range(self, t):
+        # dense0:1000,t takes 1 <= t <= ceil(4000/5) - 500 = 300
+        assert theoretical_thresholds(1000, t=300)["dense"] == pytest.approx(1 / 300)
+        with pytest.raises(ValueError, match="require 1 <= t"):
+            theoretical_thresholds(1000, t=t)
+
+    @pytest.mark.parametrize("s", [-1, 0, 501])
+    def test_sparse_range(self, s):
+        # sparse:1000,s takes 1 <= s <= 500
+        assert theoretical_thresholds(1000, s=500)["sparse_zero"] == pytest.approx(500000 ** (-1 / 3))
+        with pytest.raises(ValueError, match="require 1 <= s"):
+            theoretical_thresholds(1000, s=s)
 
 
 class TestDefaultGrid:

@@ -31,7 +31,6 @@ from schurperturb.solver import (
     Status,
     VERDICT,
     _certified,
-    _extend,
     _hosting_instance,
     _solve_mapped,
     check_hmin_properties,
@@ -924,24 +923,81 @@ def _witness_corpus():
     return _sweep_dense_trials() + _subsets_of_12() + _criterion3_configs()
 
 
+def _bits(values) -> int:
+    return sum(1 << v for v in values)
+
+
+def _splits(s: IntSet):
+    """(blue core, red core) masks and the low elements of each split that
+    split_witness tries, in its order, restated on the sorted elements."""
+    elems = s.elements()
+    top = elems[-1] if elems else -1
+    low = solver_module.SPLIT_LOW
+    bound = elems[low] if len(elems) > low else top
+    for low_end in range(min((top + 1) // 2, bound), 0, -1)[: solver_module.SPLIT_POINTS]:
+        m = min(2 * low_end - 1, top - 1)
+        if m < top // 2:
+            return
+        cores = _bits(v for v in elems if low_end <= v <= m), _bits(v for v in elems if v > m)
+        yield cores, [v for v in elems if v < low_end]
+
+
+def _joins(cores: tuple[int, int], x: int) -> list[int]:
+    """The cores (0 blue, 1 red) that x joins without making a sum."""
+    return [c for c in (0, 1) if is_sum_free_mask(cores[c] | 1 << x)]
+
+
+def _forced_colouring(cores: tuple[int, int], low: list[int]) -> tuple[int, int] | None:
+    """(red, blue) masks that give each low element the one core it joins;
+    None when some element joins both or neither."""
+    classes = list(cores)
+    for x in low:
+        joins = _joins(cores, x)
+        if len(joins) != 1:
+            return None
+        classes[joins[0]] |= 1 << x
+    return classes[1], classes[0]
+
+
+def _masks(w: Colouring | None) -> tuple[int, int] | None:
+    return None if w is None else (w.red.mask, w.blue.mask)
+
+
+# sha256 of the _digest of split_witness on each _witness_corpus() set, one
+# line each
+PINNED_WITNESSES = "4e322f3033b6528334fefe334101b0c0a4de329813e1e6ca5c847992b9464af2"
+
+
 class TestSplitWitness:
-    """Every split colouring is proper. The constraints of _extend are
-    complete (every colouring it builds passes the sum-free gate) and no
-    stronger than needed (it finds a colouring whenever one exists), and
-    the gate rejects a wrong extension."""
+    """Every split colouring is proper. Split by split, the sum-free gate
+    judges the one colouring that gives each low element the one core it
+    can join, and split_witness returns the first that passes; the gate is
+    the only check of the sums among low elements."""
 
-    def test_extensions_pass_the_gate(self, monkeypatch):
-        built = []
+    def test_results_pinned(self):
+        text = "\n".join(str(_digest(split_witness(s))) for s in _witness_corpus())
+        assert hashlib.sha256(text.encode()).hexdigest() == PINNED_WITNESSES
 
-        def gate(*classes):
-            built.append(all(is_sum_free_mask(c.mask) for c in classes))
-            return True
+    def test_gate_judges_each_forced_colouring(self, monkeypatch):
+        seen = []
+        gate = solver_module._classes_sum_free
 
-        monkeypatch.setattr(solver_module, "_classes_sum_free", gate)
+        def spy(*classes):
+            seen.append(tuple(c.mask for c in classes))
+            return gate(*classes)
+
+        monkeypatch.setattr(solver_module, "_classes_sum_free", spy)
+        rejected = 0
         for s in _witness_corpus():
-            split_witness(s)
-        assert all(built)
-        assert len(built) > 3000
+            seen.clear()
+            w = split_witness(s)
+            forced = [c for c in itertools.starmap(_forced_colouring, _splits(s)) if c is not None]
+            passed = [c for c in forced if all(map(is_sum_free_mask, c))]
+            assert seen == (forced[: forced.index(passed[0]) + 1] if passed else forced)
+            assert _masks(w) == (passed[0] if passed else None)
+            rejected += len(seen) - (w is not None)
+        # the colourings that fail the gate, all on sums among low elements
+        assert rejected > 8000
 
     def test_witnesses_proper(self):
         found = 0
@@ -963,48 +1019,48 @@ class TestSplitWitness:
         assert (colourable, decided) == (828, 824)
 
     def test_extension_agrees_with_enumeration(self):
-        """Random sum-free cores inside [b, 16] and up to 5 low elements
-        below b, as split_witness gives them. When each low element can
-        join exactly one core, _extend finds the colouring whenever one
-        exists; otherwise it gives None."""
+        """Random sets in [16], so each split has at most 7 low elements.
+        When each low element can join exactly one core, split_witness
+        takes the split whenever some colouring of the low elements
+        extends the cores to sum-free classes; a split where an element
+        can join both is skipped. It returns the first split taken."""
         rng = random.Random(11)
         extended = refuted = open_choice = 0
-        for _ in range(3000):
-            b = rng.randint(2, 12)
-            cores = [0, 0]
-            for v in rng.sample(range(b, 17), rng.randint(0, min(10, 17 - b))):
-                c = rng.randrange(2)
-                if is_sum_free_mask(cores[c] | 1 << v):
-                    cores[c] |= 1 << v
-            low = sum(1 << v for v in rng.sample(range(1, b), min(b - 1, rng.randint(1, 5))))
-            q = [v for v in range(17) if low >> v & 1]
-            parts = _extend(low, tuple(cores))
-            joins = [sum(is_sum_free_mask(cores[c] | 1 << v) for c in (0, 1)) for v in q]
-            if 2 in joins and 0 not in joins:
-                open_choice += 1
-                assert parts is None
-                continue
-            exists = any(
-                all(is_sum_free_mask(cores[c] | sum(1 << v for v, b in zip(q, bits) if b == c)) for c in (0, 1))
-                for bits in itertools.product((0, 1), repeat=len(q))
-            )
-            assert (parts is not None) is exists
-            if parts is not None:
-                extended += 1
-                assert parts[0] | parts[1] == low and not parts[0] & parts[1]
-                assert all(is_sum_free_mask(cores[c] | parts[c]) for c in (0, 1))
-            else:
-                refuted += 1
-        assert extended > 200 and refuted > 500 and open_choice > 1000
+        for _ in range(1500):
+            n = rng.randint(1, 16)
+            s = IntSet(n, rng.sample(range(1, n + 1), rng.randint(0, n)))
+            first = None
+            for cores, low in _splits(s):
+                joins = [len(_joins(cores, x)) for x in low]
+                forced = _forced_colouring(cores, low)
+                if 2 in joins and 0 not in joins:
+                    open_choice += 1
+                    assert forced is None
+                    continue
+                extensions = []
+                for red in itertools.product((0, 1), repeat=len(low)):
+                    to_red = _bits(itertools.compress(low, red))
+                    extensions.append((cores[1] | to_red, cores[0] | _bits(low) ^ to_red))
+                proper = [c for c in extensions if all(map(is_sum_free_mask, c))]
+                assert proper == ([forced] if forced and all(map(is_sum_free_mask, forced)) else [])
+                if proper:
+                    extended += 1
+                    first = first or proper[0]
+                else:
+                    refuted += 1
+            assert _masks(split_witness(s)) == first
+        assert extended > 1000 and refuted > 1000 and open_choice > 500
 
     def test_gate_rejects_a_wrong_extension(self, monkeypatch):
-        def all_blue(low, cores):
-            return low, 0
-
-        monkeypatch.setattr(solver_module, "_extend", all_blue)
-        for s in _sweep_dense_trials()[::10]:
+        trials = _sweep_dense_trials()[::10]
+        for s in trials:
             w = split_witness(s)
             assert w is None or _proper(s, w)
+        # with no gate, about half of these trials get a colouring with a
+        # sum among its low elements
+        monkeypatch.setattr(solver_module, "_classes_sum_free", lambda *classes: True)
+        unchecked = [(s, split_witness(s)) for s in trials]
+        assert sum(not _proper(s, w) for s, w in unchecked if w is not None) > 40
 
     def test_caps(self, monkeypatch):
         s = _sweep_dense_trials()[0]
