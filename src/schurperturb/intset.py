@@ -29,6 +29,14 @@ FFT_MEMORY_CAP = 128 * FFT_BLOCK
 # Cells (rows x width) of one row block of every batched counting kernel.
 BLOCK_CELLS = 1 << 18
 
+# glibc's malloc takes a block of at least its mmap threshold from fresh
+# mmap pages and unmaps it when freed, so such a buffer faults its pages in
+# again on every call. Freeing a block of at most MMAP_THRESHOLD_MAX raises
+# the threshold to that block's size (and the heap's trim threshold to
+# twice that) for the rest of the process; MMAP_THRESHOLD is where it starts.
+MMAP_THRESHOLD = 1 << 17
+MMAP_THRESHOLD_MAX = 1 << 25
+
 # Largest n for which enumerate_large_sum_free will run exhaustively.
 EXHAUSTIVE_SUM_FREE_LIMIT = 26
 
@@ -180,11 +188,33 @@ def row_blocks(rows: int, width: int) -> Iterator[slice]:
     return (slice(lo, min(lo + step, rows)) for lo in range(0, rows, step))
 
 
-def mask_bits(m: int) -> np.ndarray:
+def mask_bits(m: int, length: int = 0) -> np.ndarray:
     """Bool array of the bits of m >= 0, bit i at entry i, of length
-    bit_length(m) rounded up to a whole byte."""
-    raw = np.frombuffer(m.to_bytes((m.bit_length() + 7) // 8, "little"), np.uint8)
+    max(bit_length(m), length) rounded up to a whole byte."""
+    raw = np.frombuffer(m.to_bytes((max(m.bit_length(), length) + 7) // 8, "little"), np.uint8)
     return np.unpackbits(raw, bitorder="little").view(bool)
+
+
+def reserve_heap(nbytes: int) -> None:
+    """Allocate and free one untouched block of nbytes, at most
+    MMAP_THRESHOLD_MAX less a page; nothing below MMAP_THRESHOLD. Freeing
+    it raises glibc's mmap threshold to its size and the heap's trim
+    threshold to twice that, so later buffers up to that size come from
+    heap pages the process keeps, not from fresh mmap pages.
+
+    A kernel calls it before its first large buffer with the most memory
+    it holds at once, which makes its page faults independent of what ran
+    before it in the process. A block only the size of its largest buffer
+    is not enough: the trim threshold then stays below the kernel's
+    working set, and the heap hands those pages back at the end of every
+    call (a count on a 3% subset of [10^5] still took 1,726 faults a call
+    with a 1.6 MB block, and none with 4 MB, on a 2-core x86 machine with
+    glibc 2.36). The block is never touched, so it costs no page faults,
+    and it adds nothing to peak memory when the kernel later holds as much
+    itself.
+    """
+    if nbytes >= MMAP_THRESHOLD:
+        np.empty(min(nbytes, MMAP_THRESHOLD_MAX - 4096), dtype=np.uint8)
 
 
 def is_sum_free(s: IntSet) -> bool:
@@ -294,12 +324,22 @@ def _block_triple_counts(ind: np.ndarray, top: int) -> Iterator[tuple[int, int]]
     sqrt(N L), ||W|| <= N, so the sum is off by less than about
     sqrt(2) c u log2(N) L^2, the pairwise summation included: under 1e-3
     at L = 2^18 for c up to 5, where rounding needs only 1/2.
+
+    Before its first transform it reserves (reserve_heap) what it holds
+    at most at once: the window buffer, a spectrum per non-empty block
+    while they are kept, and one transform's input. From its third call on
+    in a process, whatever ran before, it then takes no fresh pages: a
+    count on a 3% subset of [10^5] took about 1,700 page faults a call
+    without it, and one of [10^6] 11,385. Buffers above the 32 MiB
+    threshold ceiling would still come from fresh pages.
     """
     size = _transform_length(top)
     block = size // 2
     # live besides the kept spectra: the window buffer, block i's spectrum
     # once it is no longer kept, and one transform's float64 input
     keep = max(1, FFT_MEMORY_CAP // (16 * (block + 1)) - 3)
+    spectra = sum(bool(ind[lo : lo + block].any()) for lo in range(0, top + 1, block))
+    reserve_heap(16 * (block + 1) * (min(spectra, keep) + 1) + 8 * block)
     kept: dict[int, np.ndarray] = {}
 
     def spectrum(lo: int) -> np.ndarray | None:
@@ -350,27 +390,29 @@ def _sum_pairs(s: IntSet) -> tuple[np.ndarray, np.ndarray]:
     in [x, max(s) - x]. Rows x are taken in chunks whose candidate matrix
     (x <= y and x + y in s) has at most BLOCK_CELLS cells (or one row). The
     matrix is int32 while 2 max(s) < 2^31 (always, below MAX_GROUND), and
-    every sum x + y <= 2 max(s) indexes a lookup of length 2 max(s) + 2
-    without a clamp. Working memory O(BLOCK_CELLS + max s) bytes (7.6 MB
-    for a 2000-element set at n = 2 * 10^6, 6 MB of it the indicator and
-    the lookup), time O(sum over x of |s cap [x, max s - x]|) plus output.
+    every sum x + y <= 2 max(s) reads the indicator clipped at its last
+    entry, which lies past max(s) and is False. What it holds at most at
+    once, the indicator, and a chunk's int32 sums, the intp copy of them
+    that np.take reads and two bool matrices, is reserved first
+    (reserve_heap). Working memory O(BLOCK_CELLS + max s) bytes (6 MB for
+    a 2000-element set at n = 2 * 10^6, 2 MB of it the indicator), time
+    O(sum over x of |s cap [x, max s - x]|) plus output.
     """
-    ind = indicator(s)
-    e = np.flatnonzero(ind)
-    if e.size == 0:
-        return e, e
-    top = int(e[-1])
-    e = e.astype(np.int32 if 2 * top < 2**31 else np.int64)
-    lookup = np.zeros(2 * top + 2, dtype=bool)
-    lookup[: top + 1] = ind[: top + 1]
-    n_rows = int(np.searchsorted(e, top // 2, side="right"))
+    mask = s.mask
+    if not mask:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    top = mask.bit_length() - 1
+    n_rows = _smaller_summands(mask).bit_count()
+    reserve_heap(top + 2 + 14 * min(n_rows * len(s), BLOCK_CELLS))
+    ind = mask_bits(mask, top + 2)
+    e = np.flatnonzero(ind).astype(np.int32 if 2 * top < 2**31 else np.int64)
     xs, ys = [e[:0]], [e[:0]]
     lo = 0
     while lo < n_rows:
         cols = e[lo : np.searchsorted(e, top - e[lo], side="right")]
         hi = min(n_rows, lo + max(1, BLOCK_CELLS // cols.size))
         x = e[lo:hi, None]
-        ok = (cols >= x) & lookup[x + cols]
+        ok = (cols >= x) & np.take(ind, x + cols, mode="clip")
         # np.nonzero on the 2-D matrix takes about 10x as long
         i, j = np.divmod(np.flatnonzero(ok), cols.size)
         xs.append(x[i, 0])

@@ -175,13 +175,18 @@ def _execute(
     budget: int,
     workers: int,
 ) -> list[TrialRecord]:
-    """Run one trial per (p, trial_index) job, in job order; a process pool
-    only when workers > 1, so importing the package loads no
-    multiprocessing."""
+    """Run one trial per (p, trial_index) job, in job order, on at most
+    min(workers, jobs) processes: a process pool only when that is more
+    than one, so importing the package loads no multiprocessing. The pool
+    starts all its processes at once, so none is asked for beyond the
+    jobs. workers < 1 is a ValueError."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if a.n != n:
         a = IntSet(n, a)
     tasks = [(a._mask, n, p, rng.master_seed, i, budget) for p, i in jobs]
-    if workers <= 1:
+    workers = min(workers, len(tasks))
+    if workers == 1:
         return [_run_one(t) for t in tasks]
     from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
 

@@ -89,6 +89,7 @@ from .intset import (
     l1_values,
     l2_values,
     mask_bits,
+    reserve_heap,
 )
 
 RED = "R"
@@ -700,7 +701,10 @@ def _copies_by_fft(
     """The first L1 and L2 copies of step d, from one real FFT of length
     size of the mask M of its 4-AP starts, which lies in [lo, lo + span);
     member is the indicator of s. A float count above 0.5 only marks a
-    candidate x; its a is then found exactly."""
+    candidate x; its a is then found exactly. What it holds at once, M's
+    indicator, the spectrum, its product and one inverse transform, is
+    reserved first (reserve_heap)."""
+    reserve_heap(24 * size + span)
     m = mask_bits(starts >> lo)
     f = np.fft.rfft(m.astype(np.float64), size)
     l1_copy = l2_copy = None

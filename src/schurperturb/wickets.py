@@ -11,7 +11,10 @@ The kernels are batched: one row per (x1, x2), one column per element of
 [0, n], so every shift by x_i is a per-row gather on a row matrix built by
 one pipeline (_rows, _open_rows, _leg_triples). Rows go in blocks of at most
 intset.BLOCK_CELLS cells (intset.row_blocks), which bounds the working
-memory at a few dozen arrays of that many cells whatever n is.
+memory at a few dozen arrays of that many cells whatever n is. Every
+integer row matrix is int8, a byte a cell: a leg degree is at most 2, and
+an overlap profile at most 4, so no product of a leg indicator and two
+profiles exceeds 16; the row sums are accumulated in int64.
 
 count_wickets_containing keeps a table of the (x1, x2) rows of [n] for the
 last ROW_TABLE_NS values of n, with each row's leg-triple count once it is
@@ -55,8 +58,9 @@ def _legs(t: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _deg(p: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """deg[r, e] = number of row r's leg pairs containing e (0, 1 or 2)."""
-    return p + _shift(p.astype(np.int64), -x)
+    """deg[r, e] = number of row r's leg pairs containing e (0, 1 or 2),
+    as int8."""
+    return p + _shift(p.astype(np.int8), -x)
 
 
 def _disjoint_triples(x1: np.ndarray, x2: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -140,8 +144,9 @@ def count_wickets(s: IntSet, chi: IntSet | None = None) -> int:
 
     The rows of s (_rows) and their leg triples inside chi (s if None) as
     a row of [0, n] (_leg_triples): time O(|s|^2 + r n) for r rows, memory
-    O(|s|^2) for the rows plus O(BLOCK_CELLS) per block; exact while the
-    per-row counts, at most n^3, fit in int64 (n <= 2 * 10^6).
+    O(|s|^2) for the rows plus O(BLOCK_CELLS) per block, in int8 cells of
+    at most 16; exact while the per-row counts, at most n^3, fit in the
+    int64 row sums (n <= 2 * 10^6).
     """
     if chi is not None and chi.mask & ~s.mask:
         raise ValueError("chi must be a subset of s")

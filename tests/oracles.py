@@ -10,7 +10,9 @@ judges ha_stats_fast.
 
 References built on the library: 4-AP counts (count_4aps,
 ap_differences) from intset's 4-AP start masks, the number of distinct
-wicket entry sets (count_wickets_unordered) from iter_wickets, and the
+wicket entry sets (count_wickets_unordered) from iter_wickets, the wicket
+row arithmetic in int64 throughout (deg_int64, disjoint_triples_int64,
+two_leg_disjoint_int64) from wickets' row shifts, and the
 solver's search on an explicit edge list of element values (_solve_edges),
 which the reference deletion loop of the obstruction tests runs.
 
@@ -28,7 +30,7 @@ import numpy as np
 from schurperturb.colouring_hypergraph import HAStats
 from schurperturb.intset import IntSet, _ap4_starts
 from schurperturb.solver import ColourConstraint, SolveOutcome, _solve_mapped
-from schurperturb.wickets import iter_wickets
+from schurperturb.wickets import _legs, _shift, iter_wickets
 
 
 def mask_members(mask: int) -> Iterator[int]:
@@ -137,6 +139,52 @@ def is_wicket(entries, n: int) -> bool:
 def count_wickets_unordered(s: IntSet, chi: IntSet | None = None) -> int:
     """Number of distinct 9-element entry sets supporting a wicket."""
     return len({frozenset(w) for w in iter_wickets(s, chi)})
+
+
+def deg_int64(p: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """deg[r, e] = number of row r's leg pairs containing e, in int64."""
+    return p + _shift(p.astype(np.int64), -x)
+
+
+def disjoint_triples_int64(x1: np.ndarray, x2: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """wickets._disjoint_triples with every row matrix in int64: per row,
+    the ordered (y1, y2, y3) whose legs {y_i, y_i + x_i}, x3 = x1 + x2,
+    lie inside that row of t and are pairwise disjoint."""
+    x3 = x1 + x2
+    xs = (x1, x2, x3)
+    p = [_legs(t, x) for x in xs]
+    c = [pi.sum(axis=1) for pi in p]
+    d = [deg_int64(pi, x) for pi, x in zip(p, xs)]
+    o12, o13, o23 = ((d[i] * d[j]).sum(axis=1) for i, j in ((0, 1), (0, 2), (1, 2)))
+
+    def overlap_profile(deg_other: np.ndarray, x: np.ndarray) -> np.ndarray:
+        return deg_other + _shift(deg_other, x)
+
+    t_1 = (p[0] * overlap_profile(d[1], x1) * overlap_profile(d[2], x1)).sum(axis=1)
+    t_2 = (p[1] * overlap_profile(d[0], x2) * overlap_profile(d[2], x2)).sum(axis=1)
+    t_3 = (p[2] * overlap_profile(d[0], x3) * overlap_profile(d[1], x3)).sum(axis=1)
+    zero = np.zeros_like(x1)
+    d12_shifts = (zero, -x2, x1, x1 - x2)
+    d13_shifts = (zero, -x3, x1, x1 - x3)
+    d23_shifts = (zero, -x3, x2, x2 - x3)
+    p2s = [_shift(p[1], s2) for s2 in d12_shifts]
+    p3s = [_shift(p[2], s3) for s3 in d13_shifts]
+    q = 0
+    for s2, p2 in zip(d12_shifts, p2s):
+        for s3, p3 in zip(d13_shifts, p3s):
+            valid = np.zeros(len(x1), dtype=bool)
+            for s23 in d23_shifts:
+                valid |= s3 - s2 == s23
+            q = q + np.where(valid, (p[0] & p2 & p3).sum(axis=1), 0)
+    c1, c2, c3 = c
+    return c1 * c2 * c3 - o12 * c3 - o13 * c2 - o23 * c1 + t_1 + t_2 + t_3 - q
+
+
+def two_leg_disjoint_int64(xa: np.ndarray, xb: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """wickets._two_leg_disjoint in int64: per row, the ordered (ya, yb)
+    with disjoint legs inside t."""
+    pa, pb = _legs(t, xa), _legs(t, xb)
+    return pa.sum(axis=1) * pb.sum(axis=1) - (deg_int64(pa, xa) * deg_int64(pb, xb)).sum(axis=1)
 
 
 def count_4aps(s: IntSet) -> int:

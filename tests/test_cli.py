@@ -288,6 +288,17 @@ class TestSweepCommand:
         assert (code, out) == (EXIT_USAGE, "")
         assert "p_grid must not be empty" in err
 
+    def test_workers_below_one_rejected(self, capsys, tmp_path, monkeypatch):
+        config = self._config(tmp_path)
+        for flag in ("0", "-3"):
+            code, out, err = run(capsys, "sweep", "--config", config, "--workers", flag)
+            assert (code, out) == (EXIT_USAGE, "")
+            assert "workers must be >= 1" in err
+        monkeypatch.setenv("SCHURPERTURB_WORKERS", "0")
+        code, out, err = run(capsys, "sweep", "--config", config)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "workers must be >= 1" in err
+
     def test_seed_mandatory(self, capsys, tmp_path):
         path = self._config(tmp_path, seed=None)
         code, _, err = run(capsys, "sweep", "--config", path)

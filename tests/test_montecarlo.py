@@ -104,6 +104,45 @@ class TestSweep:
         two = sweep(a, 12, grid, 8, RngSpec(77), workers=2)
         assert one.to_json() == two.to_json()
 
+    def test_workers_below_one_rejected(self):
+        for workers in (0, -1):
+            with pytest.raises(ValueError, match="workers must be >= 1"):
+                sweep(IntSet(5), 5, [0.5], 2, RngSpec(1), workers=workers)
+            with pytest.raises(ValueError, match="workers must be >= 1"):
+                run_trials(IntSet(5), 5, 0.5, 2, RngSpec(1), workers=workers)
+
+    def test_no_more_processes_than_trials(self, monkeypatch):
+        # the pool forks all its processes at once: a stand-in that runs
+        # the trials in this process records how many were asked for
+        import concurrent.futures
+
+        asked = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        a, _ = mod5_construction(12)
+        grid = [0.05, 0.9]
+        serial = sweep(a, 12, grid, 3, RngSpec(77)).to_json()
+        assert sweep(a, 12, grid, 3, RngSpec(77), workers=10_000).to_json() == serial
+        assert sweep(a, 12, grid, 3, RngSpec(77), workers=4).to_json() == serial
+        records = run_trials(a, 12, 0.9, 2, RngSpec(77), workers=10_000)
+        assert [r.trial_index for r in records] == [0, 1]
+        # a single trial runs in this process, with no pool
+        run_trials(a, 12, 0.9, 1, RngSpec(77), workers=8)
+        assert asked == [6, 4, 2]
+
     def test_canonical_json_stable(self):
         a, _ = mod5_construction(10)
         c1 = sweep(a, 10, [0.2, 0.8], 4, RngSpec(5))

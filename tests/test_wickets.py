@@ -4,7 +4,14 @@ import random
 import numpy as np
 import pytest
 
-from oracles import count_wickets_unordered, is_wicket, wicket_entry_masks
+from oracles import (
+    count_wickets_unordered,
+    deg_int64,
+    disjoint_triples_int64,
+    is_wicket,
+    two_leg_disjoint_int64,
+    wicket_entry_masks,
+)
 from schurperturb import intset, wickets
 from schurperturb.intset import IntSet
 from schurperturb.wickets import (
@@ -87,6 +94,35 @@ class TestCountWickets:
             assert is_wicket(w, 13)
             seen += 1
         assert seen == count_wickets(s)
+
+
+class TestInt8Rows:
+    """The int8 row matrices (degrees up to 2, overlap products up to 16)
+    give the counts of the same arithmetic in int64 throughout."""
+
+    @pytest.mark.parametrize("n, size, blocks", [(60, 50, 1), (500, 120, 3)])
+    def test_equal_to_int64_on_row_blocks(self, n, size, blocks):
+        rng = random.Random(n)
+        ground = np.zeros(n + 1, dtype=bool)
+        ground[rng.sample(range(1, n + 1), size)] = True
+        x = wickets._rows(ground)
+        split = list(intset.row_blocks(x.shape[1], n + 1))
+        assert len(split) >= blocks
+        for b in split:
+            xb = x[:, b]
+            t = wickets._open_rows(ground, xb.T)
+            for leg in xb:
+                p = wickets._legs(t, leg)
+                d = wickets._deg(p, leg)
+                assert d.dtype == np.int8
+                np.testing.assert_array_equal(d, deg_int64(p, leg))
+            np.testing.assert_array_equal(
+                wickets._disjoint_triples(xb[0], xb[1], t), disjoint_triples_int64(xb[0], xb[1], t)
+            )
+            for i, j in ((0, 1), (0, 2), (1, 2)):
+                np.testing.assert_array_equal(
+                    wickets._two_leg_disjoint(xb[i], xb[j], t), two_leg_disjoint_int64(xb[i], xb[j], t)
+                )
 
 
 class TestCountContaining:
