@@ -44,19 +44,21 @@ its full budget.
 Each coloured element records the edge that forced it. A search that ends
 NOT_COLOURABLE also returns an unsat core: the union of its conflict cones,
 each the conflict edge plus, transitively, the forcing edges of its
-coloured elements. `minimal_obstruction` deletes edges in descending order
-as the plain deletion loop does and returns the same obstruction, but
-drops an edge outside the latest core without a search and keeps, without
-a search, every edge that model rotation of a colourable witness proves
-necessary. Its budget applies to each search that runs; a skipped deletion
-never searches, so it never uses budget. All its searches run on one
-search state (_SearchState), built once: a deletion unlinks the edge from
-its elements' incidence lists and a necessary edge is linked back in
-place, so each search is the one a fresh search on the kept edges would
-make, and the root (the forced colours and all they force) is propagated
-again only when the deleted or restored edge could have changed it. A
-deletion thus costs the degrees of the edge's elements plus its search, not
-a rebuild of the instance.
+coloured elements. Propagation is breadth-first, so each forcing edge lies
+on a shortest chain of forcings from the decision or the constraint seeds;
+the order decides the core, not the search tree. `minimal_obstruction`
+deletes edges in descending order as the plain deletion loop does and
+returns the same obstruction, but drops an edge outside the latest core
+without a search and keeps, without a search, every edge that model
+rotation of a colourable witness proves necessary. Its budget applies to
+each search that runs; a skipped deletion never searches, so it never uses
+budget. All its searches run on one search state (_SearchState), built
+once: a deletion unlinks the edge from its elements' incidence lists and a
+necessary edge is linked back in place, so each search is the one a fresh
+search on the kept edges would make, and the root (the forced colours and
+all they force) is propagated again only when the deleted or restored edge
+could have changed it. A deletion thus costs the degrees of the edge's
+elements plus its search, not a rebuild of the instance.
 
 `find_loose_cycle` looks for the loose cycles that the paper's minimal
 obstructions carry with a complete depth-first search, also on an explicit
@@ -68,6 +70,7 @@ exponential in the number of edges.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
+from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
@@ -250,13 +253,19 @@ class _SearchState:
     coloured, so the branch vertex (most unresolved edges, smallest index
     on ties) is the first maximum of key.
 
-    reason[v] is the edge that forced v's colour, -1 for a decision or a
-    constraint seed. Every conflict marks its conflict cone: the conflict
-    edge and, transitively, the reasons of its coloured vertices (visited
-    once per conflict). The core is the sorted indices of every marked edge
-    when the status is NOT_COLOURABLE, else empty. The search tree refutes
-    each decision path by propagation over its cone alone, so the core with
-    the allowed colours is itself uncolourable.
+    Propagation is breadth-first: forced colours are taken first in, first
+    out, the seeds in ascending order. Unit propagation reaches the same
+    colours, or a conflict, in any order, so a run's tree, node count and
+    witness do not depend on the order; its core does. reason[v] is the
+    edge that forced v's colour, -1 for a decision or a constraint seed,
+    and breadth-first order makes it the last edge of a shortest chain of
+    forcings to v, which keeps conflict cones small. Every conflict marks
+    its conflict cone: the conflict edge and, transitively, the reasons of
+    its coloured vertices (visited once per conflict). The core is the
+    sorted indices of every marked edge when the status is NOT_COLOURABLE,
+    else empty. The search tree refutes each decision path by propagation
+    over its cone alone, so the core with the allowed colours is itself
+    uncolourable.
 
     drop(e) unlinks edge e from its vertices' lists and relink(e) puts it
     back at its ascending place, so the lists always hold the linked edges
@@ -326,17 +335,20 @@ class _SearchState:
         incident, state, edges, allowed = self.incident, self.state, self.edges, self.allowed
         coloured, resolved, mono = self.coloured, _RESOLVED, _MONO
         conflict = -1
-        while pending:
-            v, c, r = pending.pop()
+        queue = deque(pending)
+        while queue:
+            v, c, r = queue.popleft()
             if colour[v] >= 0:
                 # Already coloured, and always with c, so there is no
-                # opposite-colour conflict to detect here. A decision colours
-                # an uncoloured vertex. A seed's vertex allows only c, and a
-                # force is queued only with an allowed colour. A force by
-                # edge r was queued while r's other vertices had colour
-                # c ^ 1; had v been coloured c ^ 1 since, r would have become
+                # opposite-colour conflict to detect here, whatever order
+                # the queue is taken in. A decision colours an uncoloured
+                # vertex. A seed's vertex allows only c, and a force is
+                # queued only with an allowed colour. A force by edge r was
+                # queued while r's other vertices had colour c ^ 1; had v
+                # been coloured c ^ 1 since, r would have become
                 # monochromatic in v's incident loop, a conflict that returns
-                # before this entry is popped.
+                # before this entry is taken. The reason kept is that of the
+                # first entry taken, the one nearest the decision.
                 continue
             colour[v] = c
             reason[v] = r
@@ -359,7 +371,7 @@ class _SearchState:
                         if colour[u] < 0:
                             break  # the one uncoloured vertex
                     if c ^ 1 in allowed[u]:
-                        pending.append((u, c ^ 1, i))
+                        queue.append((u, c ^ 1, i))
                     else:
                         conflict = i
             if conflict >= 0:
@@ -390,7 +402,7 @@ class _SearchState:
         self.marked = [False] * len(self.edges)
         self._to_root()
         if self.root < 0:
-            if not self._propagate(self.seeds[::-1]):
+            if not self._propagate(self.seeds):
                 return self._refuted(0)
             self.root = len(self.trail)
         return self._branch(budget)
@@ -852,7 +864,11 @@ def minimal_obstruction(
     necessary edge is linked back, and the root is kept between searches
     unless the edge could have changed it.
     `budget` applies to each search that runs, and `nodes_explored` sums
-    their nodes; a skipped deletion never searches, so it uses no budget.
+    only their nodes; a skipped deletion never searches, so it uses no
+    budget. The obstruction does not depend on the propagation order, but
+    the cores, and so which deletions are searched and `nodes_explored`,
+    do: breadth-first propagation's shorter reason chains give smaller
+    cores and fewer searches.
     A sum-free s, as in find_schur_colouring, is searched on no edges with
     no hosting sets built: COLOURABLE, or NOT_COLOURABLE with the empty
     obstruction when an element allows no colour. A set with more than

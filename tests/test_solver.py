@@ -346,15 +346,18 @@ PINNED_TREES = [
 ]
 
 # sparse:200,14 forced blue at 2 th, trial -> (nodes_explored, edges); the
-# edges were recorded with the recursive solver, the node counts (searches
-# that run only) with the core-guided deletion
+# edges of trials 0-8 were recorded with the recursive solver, the node
+# counts (searches that run only) with the core-guided deletion and
+# breadth-first propagation, whose shortest reason chains give smaller cores
+# and so fewer searches: last-in, first-out propagation gives the same edges
+# in 347, 219, 212 and 159 nodes for trials 6, 33, 36 and 54
 PINNED_OBSTRUCTIONS = {
     0: (11, [(6, 12), (6, 187, 193), (12, 187, 199)]),
     2: (39, [(4, 61, 65), (4, 129, 133), (4, 187, 191), (61, 129, 190),
               (61, 133, 194), (65, 129, 194), (65, 133, 198)]),
     5: (11, [(9, 83, 92), (9, 97, 106), (9, 187, 196), (83, 106, 189),
              (92, 106, 198), (97, 194)]),
-    6: (347, [(7, 22, 29), (7, 46, 53), (7, 50, 57), (7, 74, 81), (7, 187, 194),
+    6: (285, [(7, 22, 29), (7, 46, 53), (7, 50, 57), (7, 74, 81), (7, 187, 194),
               (22, 23, 45), (22, 28, 50), (22, 177, 199), (23, 46), (23, 130, 153),
               (28, 29, 57), (28, 46, 74), (28, 53, 81), (29, 45, 74), (29, 53, 82),
               (29, 101, 130), (29, 171, 200), (37, 45, 82), (37, 74), (45, 132, 177),
@@ -362,6 +365,24 @@ PINNED_OBSTRUCTIONS = {
               (70, 130, 200)]),
     8: (4, [(11, 84, 95), (11, 187, 198), (13, 95, 108), (13, 187, 200),
             (84, 108, 192), (95, 190)]),
+    33: (211, [(3, 29, 32), (3, 93, 96), (4, 36, 40), (4, 119, 123), (4, 187, 191),
+               (9, 32, 41), (9, 47, 56), (9, 56, 65), (9, 77, 86), (9, 87, 96),
+               (9, 187, 196), (15, 30), (15, 32, 47), (15, 41, 56), (29, 36, 65),
+               (29, 77, 106), (30, 47, 77), (30, 56, 86), (30, 93, 123), (32, 87, 119),
+               (36, 87, 123), (40, 47, 87), (40, 56, 96), (41, 65, 106), (65, 123, 188)]),
+    36: (170, [(5, 117, 122), (5, 129, 134), (5, 134, 139), (5, 187, 192), (17, 34),
+               (17, 117, 134), (17, 129, 146), (17, 179, 196), (33, 78, 111),
+               (33, 146, 179), (34, 52, 86), (34, 68), (34, 77, 111), (34, 86, 120),
+               (34, 108, 142), (34, 145, 179), (52, 56, 108), (52, 65, 117),
+               (52, 68, 120), (52, 142, 194), (52, 145, 197), (56, 78, 134),
+               (56, 86, 142), (56, 134, 190), (56, 139, 195), (65, 122, 187),
+               (68, 77, 145)]),
+    54: (145, [(10, 43, 53), (10, 57, 67), (10, 152, 162), (10, 187, 197), (28, 67, 95),
+               (28, 136, 164), (28, 162, 190), (34, 102, 136), (34, 135, 169),
+               (34, 164, 198), (43, 121, 164), (43, 148, 191), (43, 152, 195),
+               (53, 95, 148), (53, 135, 188), (53, 136, 189), (57, 95, 152),
+               (57, 136, 193), (67, 69, 136), (67, 95, 162), (67, 102, 169),
+               (67, 121, 188), (69, 95, 164)]),
 }
 
 
